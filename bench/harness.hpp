@@ -92,7 +92,7 @@ inline void parse_args(int argc, char** argv) {
   if (o.jobs != 0) jobs_override() = o.jobs;
 }
 
-/// Runs a spec through the ParallelRunner honoring the harness job count
+/// Runs a spec through run_experiment_parallel honoring the harness job count
 /// (jobs_override / OMNIVAR_JOBS); `make_kernel` builds one private kernel
 /// per run. Generic entry point for ad-hoc kernels that have no Sim*
 /// benchmark object.
@@ -325,8 +325,8 @@ inline SpecKey cell_key(std::string_view bench_kind, const Platform& p,
 /// Prints the standard harness header; in scenario mode a "Scenario:"
 /// line (name, fingerprint, geometry) makes the report self-describing.
 /// The default paper mode prints exactly the historical header. Routed
-/// through ctx.print so the campaign cell scheduler can capture and
-/// replay the harness's stdout in order.
+/// through ctx.print so the campaign driver can capture and replay the
+/// harness's stdout in order.
 inline void header(cli::RunContext& ctx, const std::string& experiment,
                    const std::string& claim) {
   ctx.print("%s", report::banner(experiment).c_str());

@@ -128,7 +128,7 @@ template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
   RunMatrix matrix(spec.name);
   for (std::size_t r = 0; r < spec.runs; ++r) {
     const std::uint64_t run_seed = derive_run_seed(spec.seed, r);
-    const RunSlot slot{0, r, run_seed};
+    const RunSlot slot{r, run_seed};
 
     if (r < done_times.size()) {
       // Completed before the checkpoint. Replay the end-of-run hook from

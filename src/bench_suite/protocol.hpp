@@ -21,8 +21,9 @@
 namespace omv::bench {
 
 /// Shards spec.runs across `jobs` worker threads (0 = hardware
-/// concurrency; 1 = inline). Each run builds a private Simulator clone of
-/// `base`, a benchmark instance via `make_bench(sim)`, and a SimTeam on
+/// concurrency; 1 = inline), or across the thread's bound campaign pool
+/// (see run_experiment_parallel). Each run builds a private Simulator clone
+/// of `base`, a benchmark instance via `make_bench(sim)`, and a SimTeam on
 /// `team_cfg`; begin_run(run_seed) then resets every model. Repetitions
 /// execute `rep(bench, team)`; after a run's last timed repetition,
 /// `on_run_end(bench, team, sim, slot)` fires (e.g. to sample the run's
@@ -32,6 +33,8 @@ namespace omv::bench {
 /// run_protocol_checkpointed instead: serial, with snapshot writes every N
 /// reps and/or a resume from a prior snapshot — bit-identical to the
 /// sharded path (runs derive their entire state from run_seed either way).
+/// Under a bound campaign pool the serial loop runs as one pool task, so
+/// it counts against the pool's worker cap.
 template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
 [[nodiscard]] RunMatrix run_protocol_sharded(
     const sim::Simulator& base, const ompsim::TeamConfig& team_cfg,
@@ -39,8 +42,12 @@ template <typename MakeBench, typename Rep, typename OnRunEnd = NoRunEndHook>
     Rep rep, OnRunEnd on_run_end = {},
     const snap::CheckpointPolicy* ckpt = nullptr) {
   if (ckpt != nullptr && ckpt->engaged()) {
-    return run_protocol_checkpointed(base, team_cfg, spec, make_bench, rep,
-                                     on_run_end, *ckpt);
+    RunMatrix m;
+    run_on_bound_pool([&] {
+      m = run_protocol_checkpointed(base, team_cfg, spec, make_bench, rep,
+                                    on_run_end, *ckpt);
+    });
+    return m;
   }
   const topo::Machine machine = base.machine();
   const sim::SimConfig sim_cfg = base.config();

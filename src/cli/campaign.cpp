@@ -1,16 +1,15 @@
 #include "cli/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <mutex>
+#include <future>
 #include <stdexcept>
-#include <thread>
 
-#include "cli/campaign_bench.hpp"
 #include "cli/options.hpp"
 #include "cli/registry.hpp"
 #include "core/atomic_file.hpp"
@@ -74,51 +73,6 @@ void RunContext::print(const char* fmt, ...) {
   emit(text);
 }
 
-struct CellScheduler::Impl {
-  Impl(std::size_t cell_jobs, std::vector<double> unit_costs)
-      : pool(cell_jobs), remaining(std::move(unit_costs)) {}
-  CellPool pool;
-  std::mutex mutex;
-  std::vector<double> remaining;  ///< enumerated cost not yet completed.
-};
-
-CellScheduler::CellScheduler(std::size_t cell_jobs,
-                             std::vector<double> unit_costs)
-    : impl_(std::make_shared<Impl>(cell_jobs, std::move(unit_costs))) {}
-
-std::size_t CellScheduler::workers() const noexcept {
-  return impl_->pool.workers();
-}
-
-void CellScheduler::run_cell(std::size_t unit, double cost,
-                             const std::function<void()>& fn) {
-  if (stopping()) {
-    throw snap::CheckpointStop(
-        "campaign checkpoint stop: cell dispatch halted before this cell "
-        "started");
-  }
-  double priority = 0.0;
-  {
-    std::lock_guard lock(impl_->mutex);
-    if (unit < impl_->remaining.size()) priority = impl_->remaining[unit];
-  }
-  // The cell's cost leaves the unit's remaining work whether it succeeds,
-  // quarantines, or stops — priority must keep draining either way.
-  struct Drain {
-    Impl* impl;
-    std::size_t unit;
-    double cost;
-    ~Drain() {
-      std::lock_guard lock(impl->mutex);
-      if (unit < impl->remaining.size()) {
-        impl->remaining[unit] =
-            impl->remaining[unit] > cost ? impl->remaining[unit] - cost : 0.0;
-      }
-    }
-  } drain{impl_.get(), unit, cost};
-  impl_->pool.run(priority, fn);
-}
-
 std::string_view engine_version() {
   if (const char* v = std::getenv("OMNIVAR_ENGINE_VERSION"); v && *v != '\0') {
     return v;
@@ -137,6 +91,12 @@ std::size_t checkpoint_stop_after_env() {
     if (parse_uint(e, n)) return n;
   }
   return 0;
+}
+
+/// A cell's cost hint: runs x (warmup + reps), the repetitions it executes.
+double cell_cost(const ExperimentSpec& spec) {
+  return static_cast<double>(spec.runs) *
+         static_cast<double>(spec.warmup + spec.reps);
 }
 
 }  // namespace
@@ -182,8 +142,7 @@ RunMatrix RunContext::protocol(const std::string& label,
     CellPlan plan;
     plan.label = label;
     plan.hash = hash;
-    plan.cost = static_cast<double>(spec.runs) *
-                static_cast<double>(spec.warmup + spec.reps);
+    plan.cost = cell_cost(spec);
     plan_.push_back(std::move(plan));
     RunMatrix placeholder(label);
     for (std::size_t r = 0; r < spec.runs; ++r) {
@@ -344,18 +303,25 @@ RunMatrix RunContext::protocol(const std::string& label,
   };
   RunMatrix m = [&] {
     try {
-      if (sched_ != nullptr) {
-        // Campaign scheduler path: the supervised compute-and-commit runs
-        // on a pool worker (the supervisor arms the worker's own deadline
-        // slot; shard threads it spawns inherit it) while this unit
-        // thread blocks — cells within a unit stay sequential, units
-        // overlap through the shared pool.
-        const double cost = static_cast<double>(spec.runs) *
-                            static_cast<double>(spec.warmup + spec.reps);
-        RunMatrix result;
-        sched_->run_cell(unit_, cost, [&] { result = supervised(); });
-        return result;
+      if (pool_ == nullptr) return supervised();
+      // Campaign pool path: supervision, fault stalls and the cache
+      // commit stay on this unit thread; the cell's runs queue on the
+      // shared pool under this thread's deadline slot, at the unit's
+      // remaining cost. Cells within a unit stay sequential, units
+      // overlap through the pool.
+      if (pool_->stopping.load()) {
+        throw snap::CheckpointStop(
+            "campaign checkpoint stop: cell dispatch halted before this "
+            "cell started");
       }
+      // The cell's cost leaves the unit's remaining work whether it
+      // succeeds, quarantines, or stops.
+      struct Drain {
+        double& remaining;
+        double cost;
+        ~Drain() { remaining = std::max(0.0, remaining - cost); }
+      } drain{remaining_cost_, cell_cost(spec)};
+      const PoolScope scope(&pool_->pool, remaining_cost_);
       return supervised();
     } catch (const CellQuarantined& q) {
       // Record + announce here (stdout: the failure is part of the
@@ -547,7 +513,7 @@ namespace {
 void print_usage(const char* argv0, bool campaign) {
   std::fprintf(stderr,
                "usage: %s [--list] [--scenarios] [--isa-report] [--version] "
-               "[--jobs N] [--cell-jobs N] [--scenario S]... "
+               "[--jobs N] [--scenario S]... "
                "[--scenario-set FILE] [--plan] [--out DIR] "
                "[--checkpoint-every N] [--resume SRC] [--retry-cells N] "
                "[--cell-timeout MS] [--fault-spec SPEC]%s\n"
@@ -557,16 +523,12 @@ void print_usage(const char* argv0, bool campaign) {
                "  --version    print engine version, snapshot format and "
                "dispatched ISA\n"
                "%s"
-               "  --jobs N     shard each protocol's runs over N workers\n"
-               "               (0 = one per hardware thread; default: "
-               "OMNIVAR_JOBS, else serial)\n"
-               "  --cell-jobs N\n"
-               "               run up to N protocol cells concurrently "
-               "across all\n"
-               "               selected harnesses and scenarios (0 = one "
-               "per hardware\n"
-               "               thread; default: OMNIVAR_CELL_JOBS, else 1 "
-               "— serial);\n"
+               "  --jobs N     run on one pool of N workers shared by every "
+               "protocol run\n"
+               "               of every selected harness and scenario (0 = "
+               "one per\n"
+               "               hardware thread; default: OMNIVAR_JOBS, else "
+               "1 — inline);\n"
                "               output is replayed in registry x scenario "
                "order, so\n"
                "               stdout/artifacts/cache are byte-identical "
@@ -671,26 +633,27 @@ bool resolve_scenario(const std::string& selection,
   }
 }
 
-/// Resolves the checkpoint flags; reports and drops them when no --out dir
-/// is configured (checkpoint snapshots ride the result cache).
-void resolve_checkpoints(const Options& o, std::size_t& every,
-                         std::string& resume) {
-  every = effective_checkpoint_every(o.checkpoint_every);
-  resume = o.resume;
-  if ((every > 0 || !resume.empty()) && o.out_dir.empty()) {
-    std::fprintf(stderr,
-                 "[omnivar] ignoring --checkpoint-every/--resume: "
-                 "checkpoint snapshots ride the result cache, which "
-                 "requires --out\n");
-    every = 0;
-    resume.clear();
-  }
-}
+/// Everything the option layer resolves for running units, shared by the
+/// omnivar driver and the standalone binaries.
+struct RunSetup {
+  std::size_t jobs = 1;
+  std::string out_dir;
+  std::size_t ckpt_every = 0;
+  std::string resume;
+  SupervisorConfig sup;
+};
 
-void report_option_errors(const Options& o) {
+/// Reports every option error; false when there was any. Callers exit 2
+/// before running anything: a stale or typo'd flag must never silently
+/// run a different campaign than the one asked for.
+bool report_option_errors(const Options& o) {
   for (const auto& e : o.errors) {
-    std::fprintf(stderr, "[omnivar] ignoring %s\n", e.c_str());
+    std::fprintf(stderr, "[omnivar] %s\n", e.c_str());
   }
+  if (!o.errors.empty()) {
+    std::fprintf(stderr, "[omnivar] usage error; try --help\n");
+  }
+  return o.errors.empty();
 }
 
 struct HarnessOutcome {
@@ -707,45 +670,42 @@ struct HarnessOutcome {
   std::vector<CellFailure> failures;  ///< quarantined cells.
 };
 
-/// Per-harness supervision policy resolved from the CLI/environment.
-struct Supervision {
-  std::size_t retries = 0;
-  std::chrono::milliseconds timeout{0};
-};
-
 /// "name" or "name @ scenario" for stderr chrome.
 std::string unit_display(const HarnessOutcome& o) {
   return o.scenario.empty() ? o.name : o.name + " @ " + o.scenario;
 }
 
+/// One (harness, scenario) execution unit of the campaign fan-out, in
+/// registry x scenario order.
+struct Unit {
+  const HarnessInfo* h = nullptr;
+  const std::optional<scenario::ScenarioSpec>* scn = nullptr;
+  std::string artifact;  ///< per-unit artifact file name.
+};
+
 /// Runs one (harness, scenario) unit under a fresh context; writes its
-/// artifact (as `artifact`) when an out dir is configured. Under the
-/// campaign scheduler (`sched` non-null) the unit's science stdout lands
-/// in `capture` for ordered replay and cold cells are routed through the
-/// shared pool as unit `unit`.
-HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
-                       const std::string& out_dir,
-                       const std::optional<scenario::ScenarioSpec>& scn,
-                       std::size_t ckpt_every = 0,
-                       const std::string& resume = {},
-                       const Supervision& sup = {},
-                       const std::string& artifact = {},
-                       std::string* capture = nullptr,
-                       CellScheduler* sched = nullptr, std::size_t unit = 0) {
+/// artifact when an out dir is configured. `capture` non-null collects the
+/// unit's science stdout for ordered replay; `pool` non-null queues its
+/// cold cells' runs on the campaign pool, starting at priority
+/// `unit_cost`.
+HarnessOutcome run_one(const Unit& unit, const RunSetup& setup,
+                       std::string* capture, CampaignPool* pool,
+                       double unit_cost) {
+  const HarnessInfo& h = *unit.h;
   HarnessOutcome out;
   out.name = h.name;
-  out.scenario = scn ? scn->name : "";
-  out.artifact = artifact.empty() ? h.name + ".json" : artifact;
+  out.scenario = *unit.scn ? (*unit.scn)->name : "";
+  out.artifact = unit.artifact;
   const auto t0 = std::chrono::steady_clock::now();
   // Everything that can throw is inside this block — a bad --out path
   // (RunContext's ensure_dir), a failing harness, or an artifact write
   // error must mark this harness FAILED, not std::terminate the campaign.
   try {
-    RunContext ctx(h.name, jobs, out_dir, scn);
-    ctx.configure_checkpoints(ckpt_every, resume);
-    ctx.configure_supervision(sup.retries, sup.timeout);
+    RunContext ctx(h.name, setup.jobs, setup.out_dir, *unit.scn);
+    ctx.configure_checkpoints(setup.ckpt_every, setup.resume);
+    ctx.configure_supervision(setup.sup.retries, setup.sup.timeout);
     ctx.set_output_capture(capture);
-    if (sched != nullptr) ctx.configure_scheduler(sched, unit);
+    ctx.configure_pool(pool, unit_cost);
     try {
       out.exit_code = h.run(ctx);
     } catch (const CellQuarantined&) {
@@ -761,18 +721,18 @@ HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
     out.cached = ctx.cache_hits();
     out.computed = ctx.cache_misses();
     out.failures = ctx.failures();
-    if (!out_dir.empty() && out.exit_code == kExitOk) {
-      core::atomic_write_file(out_dir + "/" + out.artifact,
+    if (!setup.out_dir.empty() && out.exit_code == kExitOk) {
+      core::atomic_write_file(setup.out_dir + "/" + out.artifact,
                               ctx.artifact_json(h.description), "artifact");
       out.artifact_written = true;
     }
   } catch (const snap::CheckpointStop& e) {
     // The configured stop-after limit tripped right after a checkpoint
     // landed: a deliberate mid-protocol exit, distinguishable from failure
-    // so the CI round-trip lane can assert on it before resuming. Under
-    // the scheduler, the stop also halts every other unit's cell dispatch
-    // — in-flight cells drain, queued ones never start.
-    if (sched != nullptr) sched->note_stop();
+    // so the CI round-trip lane can assert on it before resuming. The stop
+    // also halts every overlapping unit's cell dispatch — in-flight cells
+    // drain, queued ones never start.
+    if (pool != nullptr) pool->stopping.store(true);
     std::fprintf(stderr, "[omnivar] %s stopped: %s\n",
                  unit_display(out).c_str(), e.what());
     out.exit_code = kExitCheckpointStop;
@@ -787,14 +747,13 @@ HarnessOutcome run_one(const HarnessInfo& h, std::size_t jobs,
 }
 
 void write_campaign_json(
-    const std::string& out_dir, std::size_t jobs, std::size_t cell_jobs,
+    const std::string& out_dir, std::size_t jobs,
     const std::vector<std::optional<scenario::ScenarioSpec>>& scns,
     const std::vector<HarnessOutcome>& outcomes) {
   json::JsonWriter w;
   w.begin_object();
-  w.key("schema").value("omnivar-campaign-v3");
+  w.key("schema").value("omnivar-campaign-v4");
   w.key("jobs").value(jobs);
-  w.key("cell_jobs").value(cell_jobs);
   // v2 compatibility: "scenario" stays the (single) active selection;
   // multi-scenario campaigns list every selection under "scenarios" and
   // tag each outcome.
@@ -924,13 +883,32 @@ bool resolve_scenario_list(
   return true;
 }
 
-/// One (harness, scenario) execution unit of the campaign fan-out, in
-/// registry x scenario order.
-struct Unit {
-  const HarnessInfo* h = nullptr;
-  const std::optional<scenario::ScenarioSpec>* scn = nullptr;
-  std::string artifact;  ///< per-unit artifact file name.
-};
+/// Resolves the scenario list, the fault plan, checkpointing (reported and
+/// dropped without an --out dir: snapshots ride the result cache),
+/// supervision and the worker count. Returns false on a usage error
+/// (already reported).
+bool resolve_setup(const Options& o,
+                   std::vector<std::optional<scenario::ScenarioSpec>>& scns,
+                   RunSetup& setup) {
+  if (!resolve_scenario_list(o, scns)) return false;
+  if (!resolve_fault_spec(o)) return false;
+  setup.jobs = effective_jobs(o.jobs);
+  setup.out_dir = o.out_dir;
+  setup.ckpt_every = effective_checkpoint_every(o.checkpoint_every);
+  setup.resume = o.resume;
+  if ((setup.ckpt_every > 0 || !setup.resume.empty()) && o.out_dir.empty()) {
+    std::fprintf(stderr,
+                 "[omnivar] ignoring --checkpoint-every/--resume: "
+                 "checkpoint snapshots ride the result cache, which "
+                 "requires --out\n");
+    setup.ckpt_every = 0;
+    setup.resume.clear();
+  }
+  setup.sup.retries = effective_retry_cells(o.retry_cells);
+  setup.sup.timeout =
+      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms));
+  return true;
+}
 
 /// Artifact file names stay "<harness>.json" for single-scenario runs
 /// (byte-compatible with every prior release); a multi-scenario fan-out
@@ -993,19 +971,91 @@ int print_plan(const std::vector<Unit>& units) {
   return kExitOk;
 }
 
-/// Cell parallelism is incompatible with an armed fault plan: occurrence
-/// counters (`@N`) fire in process-wide arrival order, which only replays
-/// deterministically when cells execute one at a time. Forcing the serial
-/// loop keeps every --fault-spec campaign bit-reproducible at any
-/// requested --cell-jobs.
-std::size_t force_serial_when_faults_armed(std::size_t cell_jobs) {
-  if (cell_jobs > 1 && fault::active_plan().armed()) {
+/// Runs every unit and returns their outcomes in unit (registry x
+/// scenario) order. At --jobs 1 units run inline on this thread, one after
+/// another, with no threads and no enumeration pass. At --jobs N > 1 one
+/// pool of N workers serves the whole campaign: each unit runs on its own
+/// orchestrating thread with its science stdout captured and replayed here
+/// in unit order, so stdout is byte-identical at any N. Units that declare
+/// no cells (table1 and the self-timed micro harnesses) run first, one at
+/// a time: the micro harnesses time their own kernels off the pool and
+/// must have the CPUs to themselves. `announce` adds the driver's per-unit
+/// progress chrome on stderr.
+std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
+                                      const RunSetup& setup, bool announce) {
+  std::optional<CampaignPool> pool;
+  if (setup.jobs > 1) pool.emplace(setup.jobs);
+  // An armed fault plan runs one unit at a time: occurrence counters (`@N`)
+  // fire in process-wide arrival order, which only replays
+  // deterministically when cells start one at a time. Runs still shard.
+  bool overlap = pool && units.size() > 1;
+  if (overlap && fault::active_plan().armed()) {
     std::fprintf(stderr,
-                 "[omnivar] fault injection is armed; forcing --cell-jobs 1 "
-                 "so @N occurrence counters replay deterministically\n");
-    return 1;
+                 "[omnivar] fault injection is armed; running one unit at a "
+                 "time so @N occurrence counters replay deterministically "
+                 "(runs still shard over %zu workers)\n",
+                 setup.jobs);
+    overlap = false;
   }
-  return cell_jobs;
+  // Overlapping units dispatch by remaining enumerated cost.
+  std::vector<double> unit_costs(units.size(), 0.0);
+  std::vector<bool> has_cells(units.size(), false);
+  if (overlap) {
+    std::size_t n_cells = 0;
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      const std::vector<CellPlan> plan = enumerate_unit(units[u]);
+      for (const CellPlan& c : plan) unit_costs[u] += c.cost;
+      has_cells[u] = !plan.empty();
+      n_cells += plan.size();
+    }
+    std::fprintf(stderr,
+                 "[omnivar] worker pool: %zu workers, %zu cells across %zu "
+                 "units\n",
+                 setup.jobs, n_cells, units.size());
+  }
+
+  std::vector<std::string> captures(units.size());
+  std::vector<std::future<HarnessOutcome>> pending(units.size());
+  const auto launch = [&](std::size_t u, std::launch policy) {
+    pending[u] = std::async(policy, [&, u] {
+      if (announce) {
+        std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
+                     (*units[u].scn ? units[u].h->name + " @ " +
+                                          (*units[u].scn)->name
+                                    : units[u].h->name)
+                         .c_str(),
+                     u + 1, units.size());
+      }
+      return run_one(units[u], setup, overlap ? &captures[u] : nullptr,
+                     pool ? &*pool : nullptr, unit_costs[u]);
+    });
+  };
+  if (overlap) {
+    for (std::size_t u = 0; u < units.size(); ++u) {
+      if (has_cells[u]) continue;
+      launch(u, std::launch::deferred);
+      pending[u].wait();
+    }
+  }
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    if (!pending[u].valid()) {
+      launch(u, overlap ? std::launch::async : std::launch::deferred);
+    }
+  }
+  std::vector<HarnessOutcome> outcomes;
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    outcomes.push_back(pending[u].get());
+    // omvlint: allow(atomic-writes) ordered stdout replay of captured unit output, not a file commit
+    std::fwrite(captures[u].data(), 1, captures[u].size(), stdout);
+    std::fflush(stdout);
+    if (announce || !setup.out_dir.empty()) report_outcome(outcomes.back());
+    // A deliberate checkpoint stop ends a one-at-a-time campaign at once:
+    // later units would burn the budget the stop was meant to save
+    // (overlapping units see the pool's stop flag instead). A quarantined
+    // unit does NOT stop the campaign — that is the point of quarantine.
+    if (!overlap && outcomes.back().exit_code == kExitCheckpointStop) break;
+  }
+  return outcomes;
 }
 
 /// Aggregates per-harness exit codes into the driver's exit code:
@@ -1026,11 +1076,32 @@ int aggregate_rc(const std::vector<HarnessOutcome>& outcomes) {
   return any_failed ? kExitHarnessFailed : kExitOk;
 }
 
+/// Writes campaign.json (when an out dir is configured) and returns the
+/// driver's exit code.
+int finish(const RunSetup& setup,
+           const std::vector<std::optional<scenario::ScenarioSpec>>& scns,
+           const std::vector<HarnessOutcome>& outcomes, bool announce) {
+  int rc = aggregate_rc(outcomes);
+  if (setup.out_dir.empty()) return rc;
+  try {
+    write_campaign_json(setup.out_dir, setup.jobs, scns, outcomes);
+    if (announce) {
+      std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
+                   setup.out_dir.c_str());
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
+                 e.what());
+    rc = rc != kExitOk ? rc : kExitHarnessFailed;
+  }
+  return rc;
+}
+
 }  // namespace
 
 int run_standalone(int argc, char** argv) {
   const Options o = parse_options(argc, argv);
-  report_option_errors(o);
+  if (!report_option_errors(o)) return kExitUsage;
   if (o.help) {
     print_usage(argv[0], /*campaign=*/false);
     return 0;
@@ -1048,14 +1119,8 @@ int run_standalone(int argc, char** argv) {
     return 0;
   }
   std::vector<std::optional<scenario::ScenarioSpec>> scns;
-  if (!resolve_scenario_list(o, scns)) return kExitUsage;
-  if (!resolve_fault_spec(o)) return kExitUsage;
-  std::size_t ckpt_every = 0;
-  std::string resume;
-  resolve_checkpoints(o, ckpt_every, resume);
-  const Supervision sup{
-      effective_retry_cells(o.retry_cells),
-      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms))};
+  RunSetup setup;
+  if (!resolve_setup(o, scns, setup)) return kExitUsage;
   const auto& all = Registry::instance().all();
   if (all.size() != 1) {
     std::fprintf(stderr,
@@ -1076,39 +1141,15 @@ int run_standalone(int argc, char** argv) {
                  "harnesses\n",
                  h.name.c_str());
   }
-  const std::vector<const HarnessInfo*> selected{&h};
-  const std::vector<Unit> units = build_units(selected, scns);
+  const std::vector<Unit> units = build_units({&h}, scns);
   if (o.plan) return print_plan(units);
-  if (effective_cell_jobs(o.cell_jobs) > 1) {
-    std::fprintf(stderr,
-                 "[omnivar] --cell-jobs applies to the omnivar campaign "
-                 "driver; a standalone binary runs its cells serially\n");
-  }
-  std::vector<HarnessOutcome> outcomes;
-  for (const Unit& unit : units) {
-    outcomes.push_back(run_one(*unit.h, effective_jobs(o.jobs), o.out_dir,
-                               *unit.scn, ckpt_every, resume, sup,
-                               unit.artifact));
-    if (outcomes.back().exit_code == kExitCheckpointStop) break;
-  }
-  const int rc = aggregate_rc(outcomes);
-  if (!o.out_dir.empty()) {
-    for (const auto& out : outcomes) report_outcome(out);
-    try {
-      write_campaign_json(o.out_dir, effective_jobs(o.jobs), 1, scns,
-                          outcomes);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
-                   e.what());
-      return rc != kExitOk ? rc : kExitHarnessFailed;
-    }
-  }
-  return rc;
+  return finish(setup, scns, run_units(units, setup, /*announce=*/false),
+                /*announce=*/false);
 }
 
 int run_campaign(int argc, char** argv) {
   const Options o = parse_options(argc, argv);
-  report_option_errors(o);
+  if (!report_option_errors(o)) return kExitUsage;
   if (o.help) {
     print_usage(argv[0], /*campaign=*/true);
     return 0;
@@ -1132,16 +1173,9 @@ int run_campaign(int argc, char** argv) {
     print_version();
     return 0;
   }
-  if (o.bench_campaign) return run_campaign_bench(o);
   std::vector<std::optional<scenario::ScenarioSpec>> scns;
-  if (!resolve_scenario_list(o, scns)) return kExitUsage;
-  if (!resolve_fault_spec(o)) return kExitUsage;
-  std::size_t ckpt_every = 0;
-  std::string resume;
-  resolve_checkpoints(o, ckpt_every, resume);
-  const Supervision sup{
-      effective_retry_cells(o.retry_cells),
-      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms))};
+  RunSetup setup;
+  if (!resolve_setup(o, scns, setup)) return kExitUsage;
   const auto selected = reg.match(o.only);
   if (selected.empty()) {
     std::fprintf(stderr, "[omnivar] no harness matches");
@@ -1153,10 +1187,6 @@ int run_campaign(int argc, char** argv) {
   const std::vector<Unit> units = build_units(selected, scns);
   if (o.plan) return print_plan(units);
 
-  const std::size_t jobs = effective_jobs(o.jobs);
-  const std::size_t cell_jobs =
-      force_serial_when_faults_armed(effective_cell_jobs(o.cell_jobs));
-  std::vector<HarnessOutcome> outcomes;
   report_isa();
   for (const auto& scn : scns) {
     if (scn) {
@@ -1165,77 +1195,8 @@ int run_campaign(int argc, char** argv) {
                    scn->fingerprint().c_str());
     }
   }
-
-  if (cell_jobs <= 1 || units.size() <= 1) {
-    // Serial loop: units execute one after another on this thread, stdout
-    // streaming directly — exactly the historical campaign execution.
-    for (const Unit& unit : units) {
-      std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
-                   (*unit.scn ? unit.h->name + " @ " + (*unit.scn)->name
-                              : unit.h->name)
-                       .c_str(),
-                   outcomes.size() + 1, units.size());
-      outcomes.push_back(run_one(*unit.h, jobs, o.out_dir, *unit.scn,
-                                 ckpt_every, resume, sup, unit.artifact));
-      report_outcome(outcomes.back());
-      // A deliberate checkpoint stop ends the campaign immediately: later
-      // harnesses would burn the budget the stop was meant to save. A
-      // quarantined harness does NOT stop the campaign — that is the whole
-      // point of quarantine.
-      if (outcomes.back().exit_code == kExitCheckpointStop) break;
-    }
-  } else {
-    // Campaign cell scheduler: enumerate every unit's cells (cost hints),
-    // then run each unit on its own thread with its science stdout
-    // captured, cold cells draining through one shared pool longest-
-    // expected-unit-first. Buffers are replayed in unit (registry x
-    // scenario) order as units finish, so stdout is byte-identical to the
-    // serial loop above.
-    std::vector<double> unit_costs(units.size(), 0.0);
-    std::size_t n_cells = 0;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      const std::vector<CellPlan> plan = enumerate_unit(units[u]);
-      for (const CellPlan& c : plan) unit_costs[u] += c.cost;
-      n_cells += plan.size();
-    }
-    CellScheduler sched(cell_jobs, std::move(unit_costs));
-    std::fprintf(stderr,
-                 "[omnivar] cell scheduler: %zu cells across %zu units, "
-                 "%zu cell workers\n",
-                 n_cells, units.size(), sched.workers());
-    std::vector<std::string> captures(units.size());
-    std::vector<HarnessOutcome> slots(units.size());
-    std::vector<std::thread> threads;
-    threads.reserve(units.size());
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      threads.emplace_back([&, u] {
-        slots[u] = run_one(*units[u].h, jobs, o.out_dir, *units[u].scn,
-                           ckpt_every, resume, sup, units[u].artifact,
-                           &captures[u], &sched, u);
-      });
-    }
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      threads[u].join();
-      // omvlint: allow(atomic-writes) ordered stdout replay of captured cell output, not a file commit
-      std::fwrite(captures[u].data(), 1, captures[u].size(), stdout);
-      std::fflush(stdout);
-      report_outcome(slots[u]);
-      outcomes.push_back(std::move(slots[u]));
-    }
-  }
-  int rc = aggregate_rc(outcomes);
-  if (!o.out_dir.empty()) {
-    try {
-      write_campaign_json(o.out_dir, jobs, cell_jobs, scns, outcomes);
-      std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
-                   o.out_dir.c_str());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
-                   e.what());
-      rc = rc != kExitOk ? rc : kExitHarnessFailed;
-    }
-  }
-  return rc;
+  return finish(setup, scns, run_units(units, setup, /*announce=*/true),
+                /*announce=*/true);
 }
 
 }  // namespace omv::cli

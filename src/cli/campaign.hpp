@@ -3,7 +3,7 @@
 // harness.
 //
 // A RunContext is handed to each harness's run function. It provides:
-//   * jobs() — the sharding knob (--jobs / OMNIVAR_JOBS);
+//   * jobs() — the worker-count knob (--jobs / OMNIVAR_JOBS);
 //   * protocol() — cached protocol execution: each run_protocol invocation
 //     is keyed by a canonical spec fingerprint (harness, label, seed, runs,
 //     reps, warmup, benchmark config); its RunMatrix persists as
@@ -37,14 +37,15 @@
 // folded into every cell key (via harness::cell_key), so cached cells can
 // never be served across platforms.
 //
-// Campaign cell scheduling: at --cell-jobs N > 1 the driver runs every
-// (harness, scenario) unit on its own thread, each unit's science stdout
-// captured into a private buffer (set_output_capture) and replayed in
-// registry x scenario order once the unit finishes — stdout, artifacts and
-// cache contents are byte-identical to the serial loop at any concurrency.
-// Cold cells are routed through one shared CellPool (configure_scheduler):
-// warm cache loads proceed on the unit threads while cold compute drains
-// through the pool, longest-expected-unit first. An enumeration pass
+// Campaign scheduling: at --jobs N > 1 the driver keeps one CellPool of N
+// workers for the whole campaign (CampaignPool) and runs every (harness,
+// scenario) unit on its own orchestrating thread, each unit's science
+// stdout captured into a private buffer (set_output_capture) and replayed
+// in registry x scenario order once the unit finishes — stdout, artifacts
+// and cache contents are byte-identical to --jobs 1 at any N. Unit threads
+// load warm cells themselves; a cold cell's runs queue on the shared pool
+// (configure_pool), at the unit's remaining enumerated cost, so the unit
+// with the most work left dispatches first. An enumeration pass
 // (ContextMode::kEnumerate) discovers every cell's spec hash and cost
 // without computing: protocol() records the plan and returns a placeholder
 // matrix, and all output is discarded.
@@ -53,7 +54,6 @@
 #include <chrono>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -63,6 +63,7 @@
 #include "cli/exit_codes.hpp"
 #include "cli/supervisor.hpp"
 #include "core/experiment.hpp"
+#include "core/parallel_runner.hpp"
 #include "core/report.hpp"
 #include "core/run_matrix.hpp"
 #include "core/snapshot.hpp"
@@ -138,35 +139,14 @@ enum class ContextMode {
   kEnumerate,  ///< declare-only: record CellPlan, return a placeholder.
 };
 
-/// Campaign-wide cell scheduler: one pool of --cell-jobs workers shared by
-/// every (harness, scenario) unit. RunContext routes each cold cell's
-/// supervised compute-and-commit through run_cell(); the submitting unit
-/// thread blocks until its cell finishes (cells within a unit are data-
-/// dependent), so campaign concurrency comes from units overlapping.
-/// Priority is the unit's remaining enumerated work, so the units with the
-/// most compute left dispatch first and the makespan tail shrinks.
-class CellScheduler {
- public:
-  /// `unit_costs[u]` = total enumerated cost of unit u (0 when the unit's
-  /// enumeration failed — its cells then dispatch at priority 0).
-  CellScheduler(std::size_t cell_jobs, std::vector<double> unit_costs);
-
-  /// Runs `fn` (one cold cell of `unit`, enumerated cost `cost`) on a pool
-  /// worker and blocks until it finishes, rethrowing its exception. After
-  /// note_stop() this throws snap::CheckpointStop instead of dispatching —
-  /// in-flight cells drain, new ones never start.
-  void run_cell(std::size_t unit, double cost,
-                const std::function<void()>& fn);
-
-  /// Halts new cell dispatch (a checkpoint stop tripped in some unit).
-  void note_stop() noexcept { stopping_.store(true); }
-  [[nodiscard]] bool stopping() const noexcept { return stopping_.load(); }
-  [[nodiscard]] std::size_t workers() const noexcept;
-
- private:
-  struct Impl;
-  std::shared_ptr<Impl> impl_;
-  std::atomic<bool> stopping_{false};
+/// The campaign-wide worker pool as every unit sees it: --jobs workers
+/// shared by all (harness, scenario) units, plus the flag a checkpoint
+/// stop in any unit raises so that no unit starts another cold cell —
+/// in-flight cells drain, new ones never start.
+struct CampaignPool {
+  explicit CampaignPool(std::size_t workers) : pool(workers) {}
+  CellPool pool;
+  std::atomic<bool> stopping{false};
 };
 
 class RunContext {
@@ -201,15 +181,17 @@ class RunContext {
     capture_ = buffer;
   }
 
-  /// Routes this context's cold cells through the campaign-wide scheduler
-  /// as unit `unit`; null (the default) computes inline on this thread.
-  void configure_scheduler(CellScheduler* sched, std::size_t unit) noexcept {
-    sched_ = sched;
-    unit_ = unit;
+  /// Queues this context's cold cells on the campaign-wide pool; null
+  /// (the default) computes them per the harness's job count. Each cold
+  /// cell's runs dispatch at the unit's remaining enumerated cost, which
+  /// starts at `unit_cost` and drops by each cold cell's cost as it ends.
+  void configure_pool(CampaignPool* pool, double unit_cost) noexcept {
+    pool_ = pool;
+    remaining_cost_ = unit_cost;
   }
 
   /// printf into the harness's science stdout stream: direct stdout by
-  /// default, the capture buffer under the campaign scheduler, discarded
+  /// default, the capture buffer when units overlap, discarded
   /// while enumerating. All harness report output must go through the
   /// context (print/series/table/verdict) so replay keeps byte order.
 #if defined(__GNUC__) || defined(__clang__)
@@ -325,8 +307,8 @@ class RunContext {
   ContextMode mode_ = ContextMode::kExecute;
   std::vector<CellPlan> plan_;      ///< enumeration-pass cell declarations.
   std::string* capture_ = nullptr;  ///< science-stdout sink; null = stdout.
-  CellScheduler* sched_ = nullptr;  ///< campaign cell pool; null = inline.
-  std::size_t unit_ = 0;            ///< this context's scheduler unit id.
+  CampaignPool* pool_ = nullptr;    ///< campaign pool; null = none.
+  double remaining_cost_ = 0.0;     ///< unit's enumerated cost left.
   std::size_t ckpt_every_ = 0;   ///< configure_checkpoints cadence.
   std::string resume_sel_;       ///< "auto", a snapshot path, or "".
   snap::CheckpointPolicy ckpt_policy_;  ///< policy of the computing cell.
@@ -348,14 +330,15 @@ void ensure_dir(const std::string& dir);
 
 /// main() body for a standalone harness binary: parses the shared flags
 /// and runs the binary's single registered harness (writing its artifact
-/// when --out is given).
+/// when --out is given). Any option error exits 2 before anything runs.
 [[nodiscard]] int run_standalone(int argc, char** argv);
 
 /// main() body for the omnivar driver: --list / --only / --jobs / --out
 /// over every registered harness; writes per-harness artifacts plus
 /// campaign.json. Driver chrome goes to stderr so stdout stays exactly the
 /// concatenated harness reports (and is byte-identical across cached
-/// re-runs).
+/// re-runs and across --jobs). Any option error exits 2 before anything
+/// runs.
 [[nodiscard]] int run_campaign(int argc, char** argv);
 
 }  // namespace omv::cli

@@ -79,10 +79,6 @@ Options parse_options(int argc, char** argv) {
       o.plan = true;
       continue;
     }
-    if (std::strcmp(arg, "--bench-campaign") == 0) {
-      o.bench_campaign = true;
-      continue;
-    }
     if (const char* v = flag_value("--only", argc, argv, i, o.errors)) {
       o.only.emplace_back(v);
       continue;
@@ -93,16 +89,6 @@ Options parse_options(int argc, char** argv) {
         o.jobs = n;
       } else {
         o.errors.push_back("malformed --jobs value '" + std::string(v) +
-                           "' (expected a non-negative integer)");
-      }
-      continue;
-    }
-    if (const char* v = flag_value("--cell-jobs", argc, argv, i, o.errors)) {
-      std::size_t n = 0;
-      if (parse_job_count(v, n)) {
-        o.cell_jobs = n;
-      } else {
-        o.errors.push_back("malformed --cell-jobs value '" + std::string(v) +
                            "' (expected a non-negative integer)");
       }
       continue;
@@ -167,7 +153,6 @@ Options parse_options(int argc, char** argv) {
     // flag_value may already have recorded a missing-value error for this
     // argument; only flag it as unknown when it did not consume it.
     if (std::strcmp(arg, "--only") != 0 && std::strcmp(arg, "--jobs") != 0 &&
-        std::strcmp(arg, "--cell-jobs") != 0 &&
         std::strcmp(arg, "--scenario") != 0 &&
         std::strcmp(arg, "--scenario-set") != 0 &&
         std::strcmp(arg, "--out") != 0 &&
@@ -229,24 +214,6 @@ std::vector<std::string> effective_scenarios(const Options& o) {
     }
   }
   return out;
-}
-
-std::size_t effective_cell_jobs(std::size_t cli_cell_jobs) {
-  if (cli_cell_jobs != 0) return cli_cell_jobs;
-  if (const char* j = std::getenv("OMNIVAR_CELL_JOBS")) {
-    std::size_t n = 0;
-    if (parse_job_count(j, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CELL_JOBS='%s' "
-                   "(expected a non-negative integer); running cells "
-                   "serially\n",
-                   j);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 1;
 }
 
 std::size_t effective_checkpoint_every(std::size_t cli_every) {

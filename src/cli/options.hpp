@@ -8,8 +8,11 @@
 //   --isa-report      list the batched-kernel ISA levels this host can
 //                     dispatch to (one per line, best last) and exit
 //   --only <glob>     select harnesses by name glob (repeatable; omnivar)
-//   --jobs[=]N        shard each protocol's runs over N workers (0 = one
-//                     per hardware thread); falls back to OMNIVAR_JOBS
+//   --jobs[=]N        run the campaign on one pool of N workers (0 = one
+//                     per hardware thread): every protocol run of every
+//                     selected harness and scenario queues there, and
+//                     units overlap; falls back to OMNIVAR_JOBS, else 1 —
+//                     inline, no threads
 //   --scenario[=]S    run on scenario S: a catalog name or a scenario-file
 //                     path; repeatable — the omnivar driver fans the
 //                     selected harnesses out over every listed scenario in
@@ -20,16 +23,9 @@
 //                     append the scenario selectors listed in FILE (one
 //                     per line; '#' comments and blank lines skipped) to
 //                     the --scenario list
-//   --cell-jobs[=]N   run up to N protocol cells concurrently across all
-//                     selected harnesses and scenarios (0 = one per
-//                     hardware thread); falls back to OMNIVAR_CELL_JOBS,
-//                     else 1 — the serial harness-by-harness loop
 //   --plan            enumerate every protocol cell the selection would
 //                     run (harness, scenario, label, spec hash, cost) and
 //                     exit without computing anything
-//   --bench-campaign  time a fixed multi-harness multi-scenario campaign
-//                     serial vs scheduled vs warm and write
-//                     BENCH_campaign.json (omnivar driver only)
 //   --out[=]DIR       campaign directory: JSON artifacts + result cache
 //   --checkpoint-every[=]N
 //                     checkpoint each protocol cell every N timed reps to
@@ -54,8 +50,10 @@
 //                     ISA on stdout and exit
 //   --help            usage
 // Parsing is strict: a typo'd jobs value must not silently become
-// "saturate every core" on a measurement harness, so malformed values are
-// reported and ignored rather than guessed at.
+// "saturate every core" on a measurement harness, and a stale or unknown
+// flag must not silently run a different campaign, so every malformed,
+// unknown or value-less argument is collected in Options::errors and the
+// entry points exit 2 before running anything.
 
 #include <cstddef>
 #include <string>
@@ -79,10 +77,8 @@ struct Options {
   bool version = false;         ///< --version identity report.
   bool help = false;
   bool plan = false;              ///< --plan cell enumeration listing.
-  bool bench_campaign = false;    ///< --bench-campaign scheduler benchmark.
   std::vector<std::string> only;  ///< --only name globs (empty = all).
   std::size_t jobs = 0;           ///< resolved worker count; 0 = unset.
-  std::size_t cell_jobs = 0;      ///< resolved cell concurrency; 0 = unset.
   std::vector<std::string> scenarios;  ///< --scenario selectors, in order.
   std::string scenario_set;       ///< --scenario-set file; empty = none.
   std::string out_dir;            ///< --out campaign dir; empty = none.
@@ -94,8 +90,9 @@ struct Options {
   std::vector<std::string> errors;  ///< malformed/unknown arguments.
 };
 
-/// Parses argv. Unknown arguments and malformed values are collected in
-/// `errors` (reported by the caller); parsing always completes.
+/// Parses argv. Unknown arguments, malformed values and missing values are
+/// collected in `errors` (the caller reports them and exits 2); parsing
+/// always completes.
 [[nodiscard]] Options parse_options(int argc, char** argv);
 
 /// Effective worker count: `cli_jobs` when set (non-zero), else the
@@ -116,12 +113,6 @@ struct Options {
 /// set file cannot be read (a typo'd file must not silently run the
 /// default scenario).
 [[nodiscard]] std::vector<std::string> effective_scenarios(const Options& o);
-
-/// Effective cell concurrency: `cli_cell_jobs` when set (non-zero), else
-/// OMNIVAR_CELL_JOBS (0 there = hardware concurrency; malformed values
-/// reported once to stderr and ignored), else 1 — the serial
-/// harness-by-harness campaign loop.
-[[nodiscard]] std::size_t effective_cell_jobs(std::size_t cli_cell_jobs);
 
 /// Effective checkpoint cadence: `cli_every` when set (non-zero), else the
 /// OMNIVAR_CHECKPOINT_EVERY environment variable (malformed values are

@@ -12,11 +12,13 @@
 // handling").
 //
 // Deadlines are task-scoped, not process-wide: each thread observes one
-// active slot (thread-local pointer), and worker threads spawned on behalf
-// of a cell adopt the spawning thread's slot. The campaign cell scheduler
+// active slot (thread-local pointer), and pool workers running a cell's
+// tasks adopt the submitting thread's slot. The campaign worker pool
 // runs many cells concurrently in one process, so a process-wide slot
 // would let cell A's --cell-timeout trip or disarm cell B's — with the
-// per-task slot each concurrent cell carries its own budget.
+// per-task slot each concurrent cell carries its own budget. The pool
+// also pauses a slot's clock while none of the cell's tasks is running,
+// so waiting in the shared queue behind other cells costs no budget.
 
 #include <atomic>
 #include <chrono>

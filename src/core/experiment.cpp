@@ -17,7 +17,7 @@ std::vector<double> execute_run(const ExperimentSpec& spec,
   ctx.run_seed = run_seed;
 
   // Cooperative cell-timeout poll at repetition granularity: whichever
-  // worker thread runs this repetition observes the process-wide deadline
+  // worker thread runs this repetition observes its cell's deadline slot
   // and throws CellTimeout — cancellation without signals, at the cost of
   // one repetition of latency.
   for (std::size_t w = 0; w < spec.warmup; ++w) {

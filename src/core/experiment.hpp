@@ -51,7 +51,7 @@ struct RunHooks {
 
 /// Executes the warmup + timed repetitions of run `run` and returns its
 /// repetition times. This is the single arithmetic shared by the serial
-/// run_experiment loop and the ParallelRunner shards, which is what makes
+/// run_experiment loop and run_experiment_parallel's run tasks, which makes
 /// parallel results bit-identical to serial ones.
 [[nodiscard]] std::vector<double> execute_run(const ExperimentSpec& spec,
                                               const RepKernel& kernel,

@@ -1,194 +1,25 @@
 #include "core/parallel_runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <deque>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <thread>
+#include <chrono>
 #include <utility>
-
-#include "core/deadline.hpp"
 
 namespace omv {
 
-void BatchResult::merge(BatchResult other) {
-  matrices_.reserve(matrices_.size() + other.matrices_.size());
-  for (auto& m : other.matrices_) matrices_.push_back(std::move(m));
+namespace {
+
+std::int64_t steady_ns() noexcept {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
-const RunMatrix* BatchResult::find(const std::string& label) const noexcept {
-  for (const auto& m : matrices_) {
-    if (m.label() == label) return &m;
-  }
-  return nullptr;
-}
-
-std::size_t BatchResult::total_runs() const noexcept {
-  std::size_t n = 0;
-  for (const auto& m : matrices_) n += m.runs();
-  return n;
-}
+}  // namespace
 
 std::size_t resolve_jobs(std::size_t requested) noexcept {
   if (requested != 0) return requested;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-ParallelRunner::ParallelRunner(ParallelConfig cfg)
-    : jobs_(resolve_jobs(cfg.jobs)) {}
-
-namespace {
-
-/// One (cell, run) work item plus where its rows land.
-struct RunTask {
-  RunSlot slot;
-  std::vector<double>* out = nullptr;
-};
-
-/// Executes one task: build the run's private kernel, run warmups + timed
-/// repetitions with the exact serial arithmetic (execute_run).
-void execute_task(const std::vector<ExperimentCell>& cells,
-                  const RunTask& task) {
-  const ExperimentCell& cell = cells[task.slot.cell];
-  const RepKernel kernel = cell.make_kernel(task.slot);
-  *task.out = execute_run(cell.spec, kernel, task.slot.run,
-                          task.slot.run_seed);
-}
-
-/// Minimal work-stealing scheduler over a fixed task set: each worker owns
-/// a deque seeded round-robin, pops its own back (LIFO, cache-warm) and
-/// steals from other queues' fronts (FIFO, oldest — classic Arora/
-/// Blumofe/Plaxton discipline with locks instead of a lock-free deque;
-/// run-granularity tasks are far too coarse for deque contention to show).
-class StealingScheduler {
- public:
-  StealingScheduler(std::size_t workers, std::vector<RunTask> tasks)
-      : queues_(workers) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      queues_[i % workers].tasks.push_back(std::move(tasks[i]));
-    }
-  }
-
-  /// Runs all tasks on `workers` threads; rethrows the first kernel
-  /// exception after every worker has stopped. Workers adopt the calling
-  /// thread's cell-deadline slot so a sharded cell's --cell-timeout is
-  /// polled on every shard thread, not just the submitter.
-  void run_all(const std::vector<ExperimentCell>& cells) {
-    core::CellDeadline* deadline = core::current_cell_deadline();
-    std::vector<std::thread> threads;
-    threads.reserve(queues_.size());
-    for (std::size_t w = 0; w < queues_.size(); ++w) {
-      threads.emplace_back([this, &cells, w, deadline] {
-        (void)core::adopt_cell_deadline(deadline);
-        worker_loop(cells, w);
-      });
-    }
-    for (auto& t : threads) t.join();
-    if (first_error_) std::rethrow_exception(first_error_);
-  }
-
- private:
-  struct Queue {
-    std::mutex mutex;
-    std::deque<RunTask> tasks;
-  };
-
-  std::optional<RunTask> pop_own(std::size_t w) {
-    std::lock_guard lock(queues_[w].mutex);
-    if (queues_[w].tasks.empty()) return std::nullopt;
-    RunTask t = std::move(queues_[w].tasks.back());
-    queues_[w].tasks.pop_back();
-    return t;
-  }
-
-  std::optional<RunTask> steal(std::size_t thief) {
-    for (std::size_t k = 1; k < queues_.size(); ++k) {
-      const std::size_t victim = (thief + k) % queues_.size();
-      std::lock_guard lock(queues_[victim].mutex);
-      if (queues_[victim].tasks.empty()) continue;
-      RunTask t = std::move(queues_[victim].tasks.front());
-      queues_[victim].tasks.pop_front();
-      return t;
-    }
-    return std::nullopt;
-  }
-
-  void worker_loop(const std::vector<ExperimentCell>& cells, std::size_t w) {
-    while (!cancelled_.load(std::memory_order_relaxed)) {
-      auto task = pop_own(w);
-      if (!task) task = steal(w);
-      if (!task) return;  // every queue drained
-      try {
-        execute_task(cells, *task);
-      } catch (...) {
-        std::lock_guard lock(error_mutex_);
-        if (!first_error_) first_error_ = std::current_exception();
-        cancelled_.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-
-  std::vector<Queue> queues_;
-  std::mutex error_mutex_;
-  std::exception_ptr first_error_;
-  std::atomic<bool> cancelled_{false};
-};
-
-}  // namespace
-
-BatchResult ParallelRunner::run_sweep(
-    const std::vector<ExperimentCell>& cells) const {
-  // Pre-size the result grid so workers write to disjoint slots and the
-  // final assembly preserves protocol (cell, run) order exactly.
-  std::vector<std::vector<std::vector<double>>> grid(cells.size());
-  std::vector<RunTask> tasks;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    grid[c].resize(cells[c].spec.runs);
-    for (std::size_t r = 0; r < cells[c].spec.runs; ++r) {
-      RunTask t;
-      t.slot = {c, r, derive_run_seed(cells[c].spec.seed, r)};
-      t.out = &grid[c][r];
-      tasks.push_back(std::move(t));
-    }
-  }
-
-  if (jobs_ <= 1 || tasks.size() <= 1) {
-    // Inline fallback: no pool, same code path per task.
-    for (const auto& t : tasks) execute_task(cells, t);
-  } else {
-    const std::size_t workers = std::min(jobs_, tasks.size());
-    StealingScheduler scheduler(workers, std::move(tasks));
-    scheduler.run_all(cells);
-  }
-
-  BatchResult batch;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
-    RunMatrix m(cells[c].spec.name);
-    for (auto& row : grid[c]) m.add_run(std::move(row));
-    batch.add(std::move(m));
-  }
-  return batch;
-}
-
-RunMatrix ParallelRunner::run(const ExperimentSpec& spec,
-                              const RunKernelFactory& make_kernel) const {
-  std::vector<ExperimentCell> cells(1);
-  cells[0].spec = spec;
-  cells[0].make_kernel = make_kernel;
-  BatchResult batch = run_sweep(cells);
-  return batch.take(0);
-}
-
-RunMatrix run_experiment_parallel(const ExperimentSpec& spec,
-                                  const RunKernelFactory& make_kernel,
-                                  std::size_t jobs) {
-  ParallelConfig cfg;
-  cfg.jobs = jobs;
-  return ParallelRunner(cfg).run(spec, make_kernel);
 }
 
 CellPool::CellPool(std::size_t workers) {
@@ -204,58 +35,137 @@ CellPool::~CellPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& t : threads_) t.join();
 }
 
-std::shared_ptr<CellPool::Task> CellPool::pop_best() {
-  // Linear scan for (max priority, min seq). Campaigns queue at most a few
-  // hundred cells and submitters block per cell, so the live queue stays
-  // tiny; a heap would not pay for its complexity here.
-  std::size_t best = queue_.size();
-  for (std::size_t i = 0; i < queue_.size(); ++i) {
-    if (best == queue_.size() || queue_[i]->priority > queue_[best]->priority ||
-        (queue_[i]->priority == queue_[best]->priority &&
-         queue_[i]->seq < queue_[best]->seq)) {
-      best = i;
-    }
-  }
-  if (best == queue_.size()) return nullptr;
-  std::shared_ptr<Task> task = std::move(queue_[best]);
-  queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-  return task;
+std::size_t CellPool::queued() {
+  std::lock_guard lock(mutex_);
+  return queue_.size();
+}
+
+void CellPool::retire(Batch* b) {
+  queue_.erase(std::find(queue_.begin(), queue_.end(), b));
 }
 
 void CellPool::worker_loop() {
+  std::unique_lock lock(mutex_);
   for (;;) {
-    std::shared_ptr<Task> task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and nothing pending
-      task = pop_best();
+    work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
+    if (queue_.empty()) return;  // stop_ set and nothing pending
+    // Linear scan for (max priority, min seq). Submitters block per batch,
+    // so the live queue holds at most one batch per submitting thread; a
+    // heap would not pay for its complexity here.
+    Batch* b = queue_.front();
+    for (Batch* c : queue_) {
+      if (c->priority > b->priority ||
+          (c->priority == b->priority && c->seq < b->seq)) {
+        b = c;
+      }
     }
+    const std::size_t i = b->next++;
+    if (b->next == b->n) retire(b);
+    if (b->running++ == 0 && b->timed) {
+      // Resume the submitter's deadline clock: push the deadline back by
+      // the time the batch sat with no task running.
+      b->deadline->at_ns.fetch_add(steady_ns() - b->idle_since_ns,
+                                   std::memory_order_relaxed);
+    }
+    lock.unlock();
+
+    core::CellDeadline* prev = core::adopt_cell_deadline(b->deadline);
+    std::exception_ptr error;
     try {
-      (*task->fn)();
-      task->done.set_value();
+      (*b->task)(i);
     } catch (...) {
-      task->done.set_exception(std::current_exception());
+      error = std::current_exception();
     }
+    (void)core::adopt_cell_deadline(prev);
+
+    lock.lock();
+    if (error) {
+      if (!b->error) b->error = error;
+      if (b->next < b->n) {
+        // Cancel the batch's unstarted tasks: they count as finished.
+        b->pending -= b->n - b->next;
+        b->next = b->n;
+        retire(b);
+      }
+    }
+    if (--b->running == 0 && b->timed) b->idle_since_ns = steady_ns();
+    if (--b->pending == 0) done_cv_.notify_all();
   }
 }
 
-void CellPool::run(double priority, const std::function<void()>& fn) {
-  auto task = std::make_shared<Task>();
-  task->priority = priority;
-  task->fn = &fn;
-  std::future<void> done = task->done.get_future();
-  {
-    std::lock_guard lock(mutex_);
-    task->seq = next_seq_++;
-    queue_.push_back(std::move(task));
+void CellPool::run(double priority, std::size_t n,
+                   const std::function<void(std::size_t)>& task) {
+  if (n == 0) return;
+  Batch b;
+  b.priority = priority;
+  b.task = &task;
+  b.deadline = core::current_cell_deadline();
+  b.n = n;
+  b.pending = n;
+  b.timed = b.deadline != nullptr &&
+            b.deadline->at_ns.load(std::memory_order_relaxed) != 0;
+  b.idle_since_ns = b.timed ? steady_ns() : 0;
+  std::unique_lock lock(mutex_);
+  b.seq = next_seq_++;
+  queue_.push_back(&b);
+  work_cv_.notify_all();
+  done_cv_.wait(lock, [&b] { return b.pending == 0; });
+  if (b.error) std::rethrow_exception(b.error);
+}
+
+namespace {
+
+// The pool this thread's run_experiment_parallel calls submit to, and the
+// priority they submit at (see PoolScope).
+thread_local CellPool* t_pool = nullptr;
+thread_local double t_priority = 0.0;
+
+}  // namespace
+
+PoolScope::PoolScope(CellPool* pool, double priority) noexcept
+    : prev_pool_(t_pool), prev_priority_(t_priority) {
+  t_pool = pool;
+  t_priority = priority;
+}
+
+PoolScope::~PoolScope() {
+  t_pool = prev_pool_;
+  t_priority = prev_priority_;
+}
+
+void run_on_bound_pool(const std::function<void()>& fn) {
+  if (t_pool == nullptr) {
+    fn();
+    return;
   }
-  cv_.notify_one();
-  done.get();
+  t_pool->run(t_priority, 1, [&fn](std::size_t) { fn(); });
+}
+
+RunMatrix run_experiment_parallel(const ExperimentSpec& spec,
+                                  const RunKernelFactory& make_kernel,
+                                  std::size_t jobs) {
+  // Pre-size the rows so tasks write disjoint slots and the final assembly
+  // preserves protocol run order exactly.
+  std::vector<std::vector<double>> rows(spec.runs);
+  const std::function<void(std::size_t)> run_task = [&](std::size_t r) {
+    const RunSlot slot{r, derive_run_seed(spec.seed, r)};
+    rows[r] = execute_run(spec, make_kernel(slot), r, slot.run_seed);
+  };
+  const std::size_t workers = std::min(resolve_jobs(jobs), spec.runs);
+  if (t_pool != nullptr) {
+    t_pool->run(t_priority, spec.runs, run_task);
+  } else if (workers <= 1) {
+    for (std::size_t r = 0; r < spec.runs; ++r) run_task(r);
+  } else {
+    CellPool(workers).run(0.0, spec.runs, run_task);
+  }
+  RunMatrix m(spec.name);
+  for (auto& row : rows) m.add_run(std::move(row));
+  return m;
 }
 
 }  // namespace omv

@@ -1,15 +1,22 @@
 #pragma once
-// ParallelRunner — sharded execution of the experiment protocol.
+// Sharded execution of the experiment protocol on one worker pool.
 //
 // The paper's protocol (R independent runs x K repetitions per
 // configuration, swept over thread counts / places / bindings / governors)
-// is embarrassingly parallel across (configuration, run) cells: every run
+// is embarrassingly parallel across (configuration, run) pairs: every run
 // derives its entire state from derive_run_seed(spec.seed, run), so the
 // repetition times it produces do not depend on which thread executes it or
-// when. ParallelRunner shards a sweep into per-run work items, executes
-// them on a work-stealing thread pool, and reassembles RunMatrix rows in
-// protocol order — the result is bit-identical to the serial
-// run_experiment path for deterministic kernels.
+// when. run_experiment_parallel shards a spec into per-run tasks, executes
+// them on a CellPool, and reassembles RunMatrix rows in protocol order —
+// the result is bit-identical to the serial run_experiment path for
+// deterministic kernels.
+//
+// The campaign driver keeps one CellPool alive for a whole campaign and
+// binds it to each unit thread (PoolScope); every run_experiment_parallel
+// call on a bound thread queues its runs there, so a campaign never has
+// more than the pool's workers computing at once. Unbound callers (tests,
+// examples, ad-hoc embedding) get a private pool per call, or run inline
+// at one job.
 //
 // Kernels are provided through a per-run factory (RunKernelFactory): each
 // run gets a private kernel instance, so kernels may own mutable state
@@ -20,23 +27,21 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/deadline.hpp"
 #include "core/experiment.hpp"
 #include "core/run_matrix.hpp"
 
 namespace omv {
 
-/// Identifies one run of one sweep cell.
+/// Identifies one run of a spec.
 struct RunSlot {
-  std::size_t cell = 0;        ///< index of the cell within the sweep.
-  std::size_t run = 0;         ///< run index within the cell's spec.
+  std::size_t run = 0;         ///< run index within the spec.
   std::uint64_t run_seed = 0;  ///< derive_run_seed(spec.seed, run).
 };
 
@@ -44,108 +49,25 @@ struct RunSlot {
 /// run. Invoked once per run, possibly concurrently with other runs.
 using RunKernelFactory = std::function<RepKernel(const RunSlot&)>;
 
-/// One configuration of a sweep.
-struct ExperimentCell {
-  ExperimentSpec spec;
-  RunKernelFactory make_kernel;
-};
-
-/// Aggregated sweep results, one RunMatrix per cell, in submission order.
-class BatchResult {
- public:
-  BatchResult() = default;
-
-  /// Appends a completed cell result.
-  void add(RunMatrix matrix) { matrices_.push_back(std::move(matrix)); }
-
-  /// Appends all of `other`'s cell results (e.g. shards from another
-  /// worker pool or process).
-  void merge(BatchResult other);
-
-  [[nodiscard]] std::size_t size() const noexcept { return matrices_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return matrices_.empty(); }
-  [[nodiscard]] const RunMatrix& matrix(std::size_t i) const {
-    return matrices_.at(i);
-  }
-  [[nodiscard]] const std::vector<RunMatrix>& matrices() const noexcept {
-    return matrices_;
-  }
-
-  /// First matrix labelled `label`, or nullptr.
-  [[nodiscard]] const RunMatrix* find(const std::string& label) const noexcept;
-
-  /// Moves matrix `i` out (the slot is left empty).
-  [[nodiscard]] RunMatrix take(std::size_t i) {
-    return std::move(matrices_.at(i));
-  }
-
-  /// Total number of runs across all cells.
-  [[nodiscard]] std::size_t total_runs() const noexcept;
-
- private:
-  std::vector<RunMatrix> matrices_;
-};
-
-/// Runner configuration.
-struct ParallelConfig {
-  /// Worker threads. 0 = one per hardware thread; 1 = execute inline on
-  /// the calling thread (no pool is created).
-  std::size_t jobs = 0;
-};
-
 /// Resolves a job-count request: 0 becomes std::thread::hardware_concurrency
 /// (at least 1); anything else is returned unchanged.
 [[nodiscard]] std::size_t resolve_jobs(std::size_t requested) noexcept;
 
-/// Work-stealing sweep executor. Stateless between calls; a fresh pool is
-/// spun up per sweep (run granularity is coarse enough that thread startup
-/// is negligible against the paper's 10 x 100 protocol).
-class ParallelRunner {
- public:
-  explicit ParallelRunner(ParallelConfig cfg = {});
-
-  /// Effective worker count.
-  [[nodiscard]] std::size_t jobs() const noexcept { return jobs_; }
-
-  /// Runs one spec, sharding its runs across the pool.
-  [[nodiscard]] RunMatrix run(const ExperimentSpec& spec,
-                              const RunKernelFactory& make_kernel) const;
-
-  /// Runs a whole sweep, sharding every (cell, run) pair across the pool.
-  /// The first exception thrown by any kernel/factory is rethrown here
-  /// after all workers have drained.
-  [[nodiscard]] BatchResult run_sweep(
-      const std::vector<ExperimentCell>& cells) const;
-
- private:
-  std::size_t jobs_ = 1;
-};
-
-/// Convenience wrapper: parallel run_experiment with an explicit job count
-/// (0 = hardware concurrency). Bit-identical to run_experiment for
-/// deterministic kernels.
-[[nodiscard]] RunMatrix run_experiment_parallel(
-    const ExperimentSpec& spec, const RunKernelFactory& make_kernel,
-    std::size_t jobs = 0);
-
-/// Campaign-level cell pool: a fixed set of worker threads draining one
-/// shared priority queue of whole-cell tasks. This is the layer above
-/// ParallelRunner — the campaign scheduler routes every cold cell from
-/// every (harness, scenario) unit through one pool, so cells from
-/// different harnesses overlap while each submitting unit blocks on its
-/// own cell (preserving the unit's internal data dependencies).
+/// A fixed set of worker threads draining one priority queue of task
+/// batches. A batch is n indexed tasks submitted together by one blocking
+/// submitter; any number of submitter threads may share the pool.
 ///
-/// Ordering: higher priority first; ties break by submission order, so a
-/// fixed submission sequence always dispatches identically — scheduling
-/// affects wall-clock only, never results.
+/// Ordering: the batch with the highest priority dispatches first; ties
+/// break by submission order, and a batch's tasks dispatch in index order
+/// — so a fixed submission sequence always dispatches identically, and
+/// scheduling affects wall-clock only, never results.
 class CellPool {
  public:
-  /// Spins up `workers` threads (>= 1 enforced). Workers hold no deadline
-  /// slot of their own; supervised tasks arm one per attempt.
+  /// Spins up `workers` threads (>= 1 enforced).
   explicit CellPool(std::size_t workers);
 
   /// Joins all workers. The queue is empty by construction at destruction
-  /// time: every submitter blocks inside run() until its task finishes.
+  /// time: every submitter blocks inside run() until its batch finishes.
   ~CellPool();
 
   CellPool(const CellPool&) = delete;
@@ -155,27 +77,79 @@ class CellPool {
     return threads_.size();
   }
 
-  /// Enqueues `fn` with `priority` (higher dispatches first) and blocks
-  /// until it has run on a pool worker, rethrowing any exception it threw.
-  void run(double priority, const std::function<void()>& fn);
+  /// Batches queued with tasks not yet dispatched (for tests).
+  [[nodiscard]] std::size_t queued();
+
+  /// Runs task(0) .. task(n - 1) on pool workers at `priority` (higher
+  /// dispatches first) and blocks until all have finished. Every task runs
+  /// under the submitting thread's cell-deadline slot, so a cell's
+  /// --cell-timeout is polled on whichever worker runs its tasks. An armed
+  /// slot's clock is paused while none of the batch's tasks runs: time a
+  /// cell spends queued behind other cells never counts against its
+  /// budget. Once a task throws, the batch's unstarted tasks are skipped
+  /// and the first exception is rethrown here after the started ones
+  /// finish.
+  void run(double priority, std::size_t n,
+           const std::function<void(std::size_t)>& task);
 
  private:
-  struct Task {
+  struct Batch {
     double priority = 0.0;
     std::uint64_t seq = 0;
-    const std::function<void()>* fn = nullptr;
-    std::promise<void> done;
+    const std::function<void(std::size_t)>* task = nullptr;
+    core::CellDeadline* deadline = nullptr;
+    std::size_t n = 0;
+    std::size_t next = 0;     ///< next task index to dispatch.
+    std::size_t pending = 0;  ///< dispatched-or-queued tasks not finished.
+    std::size_t running = 0;  ///< tasks executing now.
+    bool timed = false;       ///< `deadline` was armed at submission.
+    std::int64_t idle_since_ns = 0;  ///< when `running` last fell to 0.
+    std::exception_ptr error;
   };
 
   void worker_loop();
-  std::shared_ptr<Task> pop_best();
+  /// Removes `b` from the queue (its last task has been dispatched or it
+  /// was cancelled). Caller holds mutex_.
+  void retire(Batch* b);
 
   std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<std::shared_ptr<Task>> queue_;
+  std::condition_variable work_cv_;  ///< workers: a batch was queued.
+  std::condition_variable done_cv_;  ///< submitters: a batch finished.
+  std::vector<Batch*> queue_;
   std::uint64_t next_seq_ = 0;
   bool stop_ = false;
   std::vector<std::thread> threads_;
 };
+
+/// Binds the calling thread to `pool` for the scope's lifetime: its
+/// run_experiment_parallel calls (and run_on_bound_pool) submit there at
+/// `priority` instead of spinning up a private pool. Restores the previous
+/// binding on destruction. A null pool unbinds.
+class PoolScope {
+ public:
+  PoolScope(CellPool* pool, double priority) noexcept;
+  ~PoolScope();
+
+  PoolScope(const PoolScope&) = delete;
+  PoolScope& operator=(const PoolScope&) = delete;
+
+ private:
+  CellPool* prev_pool_;
+  double prev_priority_;
+};
+
+/// Runs `fn` as one task on the thread's bound pool, blocking until it
+/// finishes and rethrowing its exception; runs it inline when no pool is
+/// bound. For serial work that must still count against the pool's
+/// worker cap (a checkpointed cell's repetition loop).
+void run_on_bound_pool(const std::function<void()>& fn);
+
+/// Parallel run_experiment: shards spec.runs over the bound pool when one
+/// is bound, else over a private pool of `jobs` workers (0 = hardware
+/// concurrency), else — at one job or one run — inline on the calling
+/// thread. Bit-identical to run_experiment for deterministic kernels.
+[[nodiscard]] RunMatrix run_experiment_parallel(
+    const ExperimentSpec& spec, const RunKernelFactory& make_kernel,
+    std::size_t jobs = 0);
 
 }  // namespace omv

@@ -1,6 +1,6 @@
 // Task-scoped cell deadlines and the campaign CellPool.
 //
-// The campaign cell scheduler runs many supervised cells concurrently in
+// The campaign worker pool runs many supervised cells concurrently in
 // one process, so the --cell-timeout deadline must be task-scoped: each
 // thread arms its own slot, worker threads adopt the submitting task's
 // slot, and no cell can trip or disarm another cell's budget. These are
@@ -133,32 +133,48 @@ TEST(CellPool, RunsTasksAndReturnsResults) {
   CellPool pool(2);
   EXPECT_EQ(pool.workers(), 2u);
   std::atomic<int> sum{0};
-  pool.run(0.0, [&] { sum += 7; });
-  pool.run(1.0, [&] { sum += 35; });
-  EXPECT_EQ(sum.load(), 42);
+  pool.run(0.0, 1, [&](std::size_t) { sum += 7; });
+  // A batch runs every index exactly once before run() returns.
+  pool.run(1.0, 8, [&](std::size_t i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum.load(), 7 + 28);
+  pool.run(0.0, 0, [&](std::size_t) { sum += 1000; });  // empty batch
+  EXPECT_EQ(sum.load(), 35);
 }
 
 TEST(CellPool, AtLeastOneWorker) {
   CellPool pool(0);
   EXPECT_EQ(pool.workers(), 1u);
   bool ran = false;
-  pool.run(0.0, [&] { ran = true; });
+  pool.run(0.0, 1, [&](std::size_t) { ran = true; });
   EXPECT_TRUE(ran);
 }
 
 TEST(CellPool, PropagatesExceptionsToTheSubmitter) {
   CellPool pool(1);
-  EXPECT_THROW(
-      pool.run(0.0, [] { throw std::runtime_error("cell exploded"); }),
-      std::runtime_error);
-  // The pool survives a throwing task and keeps serving.
-  bool ran = false;
-  pool.run(0.0, [&] { ran = true; });
-  EXPECT_TRUE(ran);
+  EXPECT_THROW(pool.run(0.0, 1,
+                        [](std::size_t) {
+                          throw std::runtime_error("cell exploded");
+                        }),
+               std::runtime_error);
+  // A throwing task cancels its batch's unstarted tasks (one worker runs
+  // them in index order, so none after index 2 starts).
+  std::vector<std::size_t> ran;
+  EXPECT_THROW(pool.run(0.0, 6,
+                        [&](std::size_t i) {
+                          ran.push_back(i);
+                          if (i == 2) throw std::logic_error("run 2");
+                        }),
+               std::logic_error);
+  EXPECT_EQ(ran, (std::vector<std::size_t>{0, 1, 2}));
+  // The pool survives throwing tasks and keeps serving.
+  bool ok = false;
+  pool.run(0.0, 1, [&](std::size_t) { ok = true; });
+  EXPECT_TRUE(ok);
 }
 
-// Higher priority dispatches first; ties break by submission order. A
-// single worker plus pre-queued tasks makes dispatch order observable.
+// Higher priority dispatches first; ties break by submission order, and a
+// batch's tasks dispatch in index order. A single worker plus pre-queued
+// batches makes dispatch order observable.
 TEST(CellPool, DispatchesHighestPriorityFirstThenSubmissionOrder) {
   CellPool pool(1);
   std::vector<int> order;
@@ -169,43 +185,42 @@ TEST(CellPool, DispatchesHighestPriorityFirstThenSubmissionOrder) {
   };
 
   // Block the single worker so the remaining submissions queue up.
+  std::atomic<bool> gate_running{false};
   std::atomic<bool> release{false};
   std::thread gate([&] {
-    pool.run(100.0, [&] {
+    pool.run(100.0, 1, [&](std::size_t) {
+      gate_running.store(true);
       while (!release.load()) std::this_thread::sleep_for(1ms);
     });
   });
-  // Submitters block inside run(); queue from their own threads.
-  std::atomic<int> queued{0};
+  while (!gate_running.load()) std::this_thread::sleep_for(1ms);
+  // Submitters block inside run(); queue from their own threads, each
+  // after the previous one's batch is queued. Batch `id` has two tasks,
+  // recorded as id*10 and id*10+1.
+  std::vector<std::thread> submitters;
   const auto submit = [&](double prio, int id) {
-    return std::thread([&, prio, id] {
-      ++queued;
-      pool.run(prio, [&, id] { record(id); });
+    const std::size_t before = pool.queued();
+    submitters.emplace_back([&, prio, id] {
+      pool.run(prio, 2, [&, id](std::size_t i) {
+        record(id * 10 + static_cast<int>(i));
+      });
     });
+    while (pool.queued() == before) std::this_thread::sleep_for(1ms);
   };
-  std::thread t1 = submit(1.0, 1);
-  while (queued.load() < 1) std::this_thread::sleep_for(1ms);
-  std::this_thread::sleep_for(5ms);  // let t1 actually enqueue
-  std::thread t2 = submit(5.0, 2);
-  std::this_thread::sleep_for(5ms);
-  std::thread t3 = submit(5.0, 3);
-  std::this_thread::sleep_for(5ms);
+  submit(1.0, 1);
+  submit(5.0, 2);
+  submit(5.0, 3);
   release.store(true);
   gate.join();
-  t1.join();
-  t2.join();
-  t3.join();
+  for (auto& t : submitters) t.join();
   // 2 and 3 share the top priority (submission order breaks the tie);
   // 1 dispatches last.
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order[0], 2);
-  EXPECT_EQ(order[1], 3);
-  EXPECT_EQ(order[2], 1);
+  EXPECT_EQ(order, (std::vector<int>{20, 21, 30, 31, 10, 11}));
 }
 
-// A supervised cell running on a pool worker arms the worker's own slot;
-// concurrent cells on different workers keep independent budgets even
-// inside the pool.
+// Tasks run under their submitter's deadline slot: concurrent cells on
+// different workers keep independent budgets even inside the pool, and a
+// worker detaches from a task's slot when the task ends.
 TEST(CellPool, WorkersCarryIndependentDeadlines) {
   CellPool pool(2);
   std::atomic<bool> short_armed{false};
@@ -214,36 +229,79 @@ TEST(CellPool, WorkersCarryIndependentDeadlines) {
   std::atomic<bool> long_tripped{false};
 
   std::thread a([&] {
-    pool.run(0.0, [&] {
-      arm_cell_deadline(10ms);
-      short_armed.store(true);
+    arm_cell_deadline(10ms);
+    omv::core::CellDeadline* own = current_cell_deadline();
+    short_armed.store(true);
+    pool.run(0.0, 1, [&](std::size_t) {
+      EXPECT_EQ(current_cell_deadline(), own);
       while (!long_armed.load()) std::this_thread::sleep_for(1ms);
       try {
         interruptible_stall(500ms);
       } catch (const CellTimeout&) {
         short_tripped.store(true);
       }
-      clear_cell_deadline();
     });
+    clear_cell_deadline();
   });
   std::thread b([&] {
-    pool.run(0.0, [&] {
-      while (!short_armed.load()) std::this_thread::sleep_for(1ms);
-      arm_cell_deadline(10'000ms);
-      long_armed.store(true);
+    while (!short_armed.load()) std::this_thread::sleep_for(1ms);
+    arm_cell_deadline(10'000ms);
+    long_armed.store(true);
+    pool.run(0.0, 1, [&](std::size_t) {
       std::this_thread::sleep_for(40ms);
       try {
         check_cell_deadline();
       } catch (const CellTimeout&) {
         long_tripped.store(true);
       }
-      clear_cell_deadline();
     });
+    clear_cell_deadline();
   });
   a.join();
   b.join();
   EXPECT_TRUE(short_tripped.load());
   EXPECT_FALSE(long_tripped.load());
+  // A submitter without a deadline hands its tasks none.
+  pool.run(0.0, 2, [](std::size_t) {
+    EXPECT_EQ(current_cell_deadline(), nullptr);
+  });
+}
+
+// A batch's deadline clock pauses while none of its tasks runs — queued
+// behind another cell before it starts, or preempted by a higher-priority
+// cell between its tasks — so only the cell's own compute counts against
+// its budget. Here the cell computes for milliseconds but waits ~600 ms.
+TEST(CellPool, TimeWithNoTaskRunningCostsNoBudget) {
+  CellPool pool(1);
+  const auto hog = [&pool](std::atomic<bool>* running) {
+    return std::thread([&pool, running] {
+      pool.run(1.0, 1, [running](std::size_t) {
+        running->store(true);
+        std::this_thread::sleep_for(300ms);
+      });
+    });
+  };
+  std::atomic<bool> first_running{false};
+  std::atomic<bool> second_running{false};
+  std::thread first = hog(&first_running);
+  while (!first_running.load()) std::this_thread::sleep_for(1ms);
+
+  std::thread second;
+  arm_cell_deadline(100ms);
+  EXPECT_NO_THROW(pool.run(0.0, 2, [&](std::size_t i) {
+    if (i == 0) {
+      // Queue the second hog; it outranks this batch's task 1.
+      second = hog(&second_running);
+      while (pool.queued() < 2) std::this_thread::sleep_for(1ms);
+    } else {
+      EXPECT_TRUE(second_running.load());
+    }
+    check_cell_deadline();
+  }));
+  EXPECT_FALSE(cell_deadline_exceeded());
+  clear_cell_deadline();
+  first.join();
+  second.join();
 }
 
 }  // namespace

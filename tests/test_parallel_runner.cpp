@@ -1,13 +1,16 @@
-// Unit tests for core/parallel_runner: the work-stealing sharded
-// experiment executor. The load-bearing property is bit-identity: for a
+// Unit tests for core/parallel_runner: sharded protocol execution on the
+// campaign worker pool. The load-bearing property is bit-identity: for a
 // deterministic kernel, the parallel path must produce exactly the
-// RunMatrix the serial run_experiment path produces, at any job count.
+// RunMatrix the serial run_experiment path produces, at any job count and
+// whether the runs go to a private or a shared pool.
 
 #include "core/parallel_runner.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -145,47 +148,66 @@ TEST(ParallelRunner, FactorySeesProtocolRunSeeds) {
   (void)run_experiment_parallel(spec, factory, 4);
   ASSERT_EQ(slots.size(), spec.runs);
   for (const auto& slot : slots) {
-    EXPECT_EQ(slot.cell, 0u);
     EXPECT_EQ(slot.run_seed, derive_run_seed(spec.seed, slot.run));
   }
 }
 
-TEST(ParallelRunner, SweepPreservesCellOrderAndLabels) {
-  std::vector<ExperimentCell> cells;
-  for (int i = 0; i < 5; ++i) {
-    ExperimentCell cell;
-    cell.spec = small_spec(100 + static_cast<std::uint64_t>(i));
-    cell.spec.name = "cell-" + std::to_string(i);
-    cell.spec.runs = 3 + static_cast<std::size_t>(i);
-    cell.make_kernel = pure_factory();
-    cells.push_back(std::move(cell));
+// The campaign's concurrency cap: three unit threads bound to one
+// 2-worker pool, each sharding several runs at --jobs 4, never have more
+// than 2 kernels executing at once — and each still gets its serial bytes.
+TEST(ParallelRunner, BoundPoolCapsConcurrentKernelsAtItsWorkers) {
+  CellPool pool(2);
+  std::atomic<int> running{0};
+  std::atomic<int> max_running{0};
+  const auto factory = [&](const RunSlot&) -> RepKernel {
+    return [&](const RepContext& c) {
+      const int now = ++running;
+      int seen = max_running.load();
+      while (now > seen && !max_running.compare_exchange_weak(seen, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      --running;
+      return pure_kernel(c);
+    };
+  };
+  std::vector<RunMatrix> results(3);
+  std::vector<std::thread> submitters;
+  for (std::size_t u = 0; u < results.size(); ++u) {
+    submitters.emplace_back([&, u] {
+      const PoolScope scope(&pool, static_cast<double>(u));
+      results[u] = run_experiment_parallel(small_spec(10 + u), factory, 4);
+    });
   }
-  ParallelConfig cfg;
-  cfg.jobs = 4;
-  const BatchResult batch = ParallelRunner(cfg).run_sweep(cells);
-  ASSERT_EQ(batch.size(), cells.size());
-  EXPECT_EQ(batch.total_runs(), 3u + 4u + 5u + 6u + 7u);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    expect_bit_identical(run_experiment(cells[i].spec, pure_kernel),
-                         batch.matrix(i));
+  for (auto& t : submitters) t.join();
+  EXPECT_LE(max_running.load(), 2);
+  EXPECT_GE(max_running.load(), 1);
+  for (std::size_t u = 0; u < results.size(); ++u) {
+    expect_bit_identical(run_experiment(small_spec(10 + u), pure_kernel),
+                         results[u]);
   }
-  EXPECT_NE(batch.find("cell-2"), nullptr);
-  EXPECT_EQ(batch.find("cell-2"), &batch.matrix(2));
-  EXPECT_EQ(batch.find("no-such-cell"), nullptr);
+  // The scopes bound only their own threads: this one still runs inline.
+  const auto caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  run_on_bound_pool([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller);
 }
 
-TEST(ParallelRunner, BatchResultMerge) {
-  BatchResult a;
-  a.add(RunMatrix("one"));
-  BatchResult b;
-  RunMatrix two("two");
-  two.add_run({1.0, 2.0});
-  b.add(std::move(two));
-  a.merge(std::move(b));
-  ASSERT_EQ(a.size(), 2u);
-  EXPECT_EQ(a.matrix(0).label(), "one");
-  EXPECT_EQ(a.matrix(1).label(), "two");
-  EXPECT_EQ(a.total_runs(), 1u);
+TEST(ParallelRunner, RunOnBoundPoolUsesAWorkerOnlyWhenBound) {
+  const auto caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  run_on_bound_pool([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller);  // unbound: inline
+  CellPool pool(1);
+  {
+    const PoolScope scope(&pool, 0.0);
+    run_on_bound_pool([&] { ran_on = std::this_thread::get_id(); });
+    EXPECT_NE(ran_on, caller);
+    EXPECT_THROW(run_on_bound_pool([] { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+  }
+  // The scope's end restores the unbound state.
+  run_on_bound_pool([&] { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller);
 }
 
 TEST(ParallelRunner, ResolveJobs) {

@@ -368,8 +368,8 @@ void check_stdout_discipline(std::string_view path,
     if (banned_calls.count(t.text) != 0 && is_free_call(toks, i)) {
       emit(t.line, kStdout,
            t.text + " writes to stdout directly; harness science output "
-                    "must flow through ctx.print/ctx.emit so the cell "
-                    "scheduler's capture-replay stays byte-identical");
+                    "must flow through ctx.print/ctx.emit so the campaign "
+                    "driver's capture-replay stays byte-identical");
     } else if (t.text == "cout" || t.text == "stdout") {
       emit(t.line, kStdout,
            "direct use of " + t.text +
