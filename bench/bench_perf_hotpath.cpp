@@ -13,9 +13,8 @@
 //     pre-index O(events) scan — the baseline every BENCH_hotpath.json
 //     records its speedup against.
 //
-// Results go to stdout, to the JSON artifact (wall-clock metrics — like
-// micro_core this harness is outside the campaign's byte-stability
-// guarantee), and to BENCH_hotpath.json (override the path with
+// Results go to stdout, to the JSON artifact (wall-clock metrics — this
+// harness is outside the campaign's byte-stability guarantee), and to BENCH_hotpath.json (override the path with
 // OMNIVAR_HOTPATH_OUT), the repo's accumulating perf trajectory.
 
 #include <algorithm>
@@ -380,7 +379,7 @@ int run_perf_hotpath(cli::RunContext& ctx) {
   // Trajectory destination: explicit override first; inside a campaign the
   // file belongs in the campaign directory with the other artifacts (a full
   // `omnivar --out DIR` run must not clobber the committed trajectory
-  // point); only a deliberate standalone run writes the CWD default — and a
+  // point); only a run without --out writes the CWD default — and a
   // scenario run gets a scenario-suffixed default, because its numbers are
   // calibrated to a different machine and must never overwrite the
   // committed default-platform trajectory.

@@ -510,19 +510,20 @@ std::string RunContext::artifact_json(const std::string& description) const {
 
 namespace {
 
-void print_usage(const char* argv0, bool campaign) {
+void print_usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--list] [--scenarios] [--isa-report] [--version] "
                "[--jobs N] [--scenario S]... "
                "[--scenario-set FILE] [--plan] [--out DIR] "
                "[--checkpoint-every N] [--resume SRC] [--retry-cells N] "
-               "[--cell-timeout MS] [--fault-spec SPEC]%s\n"
+               "[--cell-timeout MS] [--fault-spec SPEC] [--only GLOB]...\n"
                "  --list       list registered harnesses\n"
                "  --scenarios  list the scenario catalog\n"
                "  --isa-report list dispatchable batched-kernel ISA levels\n"
                "  --version    print engine version, snapshot format and "
                "dispatched ISA\n"
-               "%s"
+               "  --only GLOB  run only harnesses matching the glob "
+               "(repeatable)\n"
                "  --jobs N     run on one pool of N workers shared by every "
                "protocol run\n"
                "               of every selected harness and scenario (0 = "
@@ -579,11 +580,7 @@ void print_usage(const char* argv0, bool campaign) {
                "exit codes: 0 ok, 2 usage, 3 checkpoint stop, 4 cell(s) "
                "quarantined,\n"
                "            1 other failure\n",
-               argv0, campaign ? " [--only GLOB]..." : "",
-               campaign
-                   ? "  --only GLOB  run only harnesses matching the glob "
-                     "(repeatable)\n"
-                   : "");
+               argv0);
 }
 
 /// --version: the identity triple a snapshot stamp is checked against plus
@@ -633,8 +630,7 @@ bool resolve_scenario(const std::string& selection,
   }
 }
 
-/// Everything the option layer resolves for running units, shared by the
-/// omnivar driver and the standalone binaries.
+/// Everything the option layer resolves for running units.
 struct RunSetup {
   std::size_t jobs = 1;
   std::string out_dir;
@@ -977,12 +973,11 @@ int print_plan(const std::vector<Unit>& units) {
 /// pool of N workers serves the whole campaign: each unit runs on its own
 /// orchestrating thread with its science stdout captured and replayed here
 /// in unit order, so stdout is byte-identical at any N. Units that declare
-/// no cells (table1 and the self-timed micro harnesses) run first, one at
-/// a time: the micro harnesses time their own kernels off the pool and
-/// must have the CPUs to themselves. `announce` adds the driver's per-unit
-/// progress chrome on stderr.
+/// no cells (table1 and the self-timed perf_hotpath) run first, one at a
+/// time: perf_hotpath times its own kernels off the pool and must have the
+/// CPUs to themselves. Per-unit progress chrome goes to stderr.
 std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
-                                      const RunSetup& setup, bool announce) {
+                                      const RunSetup& setup) {
   std::optional<CampaignPool> pool;
   if (setup.jobs > 1) pool.emplace(setup.jobs);
   // An armed fault plan runs one unit at a time: occurrence counters (`@N`)
@@ -1018,14 +1013,12 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
   std::vector<std::future<HarnessOutcome>> pending(units.size());
   const auto launch = [&](std::size_t u, std::launch policy) {
     pending[u] = std::async(policy, [&, u] {
-      if (announce) {
-        std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
-                     (*units[u].scn ? units[u].h->name + " @ " +
-                                          (*units[u].scn)->name
-                                    : units[u].h->name)
-                         .c_str(),
-                     u + 1, units.size());
-      }
+      std::fprintf(stderr, "[omnivar] running %s (%zu of %zu)\n",
+                   (*units[u].scn ? units[u].h->name + " @ " +
+                                        (*units[u].scn)->name
+                                  : units[u].h->name)
+                       .c_str(),
+                   u + 1, units.size());
       return run_one(units[u], setup, overlap ? &captures[u] : nullptr,
                      pool ? &*pool : nullptr, unit_costs[u]);
     });
@@ -1048,7 +1041,7 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
     // omvlint: allow(atomic-writes) ordered stdout replay of captured unit output, not a file commit
     std::fwrite(captures[u].data(), 1, captures[u].size(), stdout);
     std::fflush(stdout);
-    if (announce || !setup.out_dir.empty()) report_outcome(outcomes.back());
+    report_outcome(outcomes.back());
     // A deliberate checkpoint stop ends a one-at-a-time campaign at once:
     // later units would burn the budget the stop was meant to save
     // (overlapping units see the pool's stop flag instead). A quarantined
@@ -1080,15 +1073,13 @@ int aggregate_rc(const std::vector<HarnessOutcome>& outcomes) {
 /// driver's exit code.
 int finish(const RunSetup& setup,
            const std::vector<std::optional<scenario::ScenarioSpec>>& scns,
-           const std::vector<HarnessOutcome>& outcomes, bool announce) {
+           const std::vector<HarnessOutcome>& outcomes) {
   int rc = aggregate_rc(outcomes);
   if (setup.out_dir.empty()) return rc;
   try {
     write_campaign_json(setup.out_dir, setup.jobs, scns, outcomes);
-    if (announce) {
-      std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
-                   setup.out_dir.c_str());
-    }
+    std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
+                 setup.out_dir.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
                  e.what());
@@ -1099,59 +1090,11 @@ int finish(const RunSetup& setup,
 
 }  // namespace
 
-int run_standalone(int argc, char** argv) {
-  const Options o = parse_options(argc, argv);
-  if (!report_option_errors(o)) return kExitUsage;
-  if (o.help) {
-    print_usage(argv[0], /*campaign=*/false);
-    return 0;
-  }
-  if (o.list_scenarios) {
-    print_scenarios();
-    return 0;
-  }
-  if (o.isa_report) {
-    print_isa_report();
-    return 0;
-  }
-  if (o.version) {
-    print_version();
-    return 0;
-  }
-  std::vector<std::optional<scenario::ScenarioSpec>> scns;
-  RunSetup setup;
-  if (!resolve_setup(o, scns, setup)) return kExitUsage;
-  const auto& all = Registry::instance().all();
-  if (all.size() != 1) {
-    std::fprintf(stderr,
-                 "[omnivar] standalone binary expects exactly one "
-                 "registered harness, found %zu\n",
-                 all.size());
-    return kExitUsage;
-  }
-  const HarnessInfo& h = all.front();
-  if (o.list) {
-    std::printf("%-16s %s\n", h.name.c_str(), h.description.c_str());
-    return 0;
-  }
-  if (!o.only.empty()) {
-    std::fprintf(stderr,
-                 "[omnivar] --only has no effect on a standalone binary "
-                 "(it always runs '%s'); use the omnivar driver to select "
-                 "harnesses\n",
-                 h.name.c_str());
-  }
-  const std::vector<Unit> units = build_units({&h}, scns);
-  if (o.plan) return print_plan(units);
-  return finish(setup, scns, run_units(units, setup, /*announce=*/false),
-                /*announce=*/false);
-}
-
 int run_campaign(int argc, char** argv) {
   const Options o = parse_options(argc, argv);
   if (!report_option_errors(o)) return kExitUsage;
   if (o.help) {
-    print_usage(argv[0], /*campaign=*/true);
+    print_usage(argv[0]);
     return 0;
   }
   const auto& reg = Registry::instance();
@@ -1195,8 +1138,7 @@ int run_campaign(int argc, char** argv) {
                    scn->fingerprint().c_str());
     }
   }
-  return finish(setup, scns, run_units(units, setup, /*announce=*/true),
-                /*announce=*/true);
+  return finish(setup, scns, run_units(units, setup));
 }
 
 }  // namespace omv::cli

@@ -18,7 +18,7 @@
 // Artifacts: <out>/<harness>.json holds the science (cells, series at
 // full precision, tables, metrics, verdicts) and is byte-stable across
 // cached re-runs provided the harness records only deterministic data —
-// every fig/table harness does; micro_core, which records wall-clock
+// every fig/table harness does; perf_hotpath, which records wall-clock
 // ns/op metrics, is the documented exception. Wall-clock timing and cache
 // provenance go to <out>/campaign.json, which is expected to differ
 // between invocations.
@@ -151,7 +151,8 @@ struct CampaignPool {
 
 class RunContext {
  public:
-  /// `out_dir` empty disables artifacts and caching (standalone default).
+  /// `out_dir` empty disables artifacts and caching (the no-`--out`
+  /// default).
   /// `scenario` engaged = run on that platform instead of the paper's
   /// Dardel+Vera default (harnesses read it via scenario()).
   RunContext(std::string harness, std::size_t jobs, std::string out_dir,
@@ -162,8 +163,8 @@ class RunContext {
 
   /// True on an enumeration pass: protocol() records cells without
   /// computing and every print is discarded. Harnesses whose cells are
-  /// self-timed wall-clock cases outside protocol() (micro_core,
-  /// perf_hotpath) return early when this is set.
+  /// self-timed wall-clock cases outside protocol() (perf_hotpath) return
+  /// early when this is set.
   [[nodiscard]] bool enumerating() const noexcept {
     return mode_ == ContextMode::kEnumerate;
   }
@@ -327,11 +328,6 @@ class RunContext {
 
 /// Creates `dir` (and parents). Throws std::runtime_error on failure.
 void ensure_dir(const std::string& dir);
-
-/// main() body for a standalone harness binary: parses the shared flags
-/// and runs the binary's single registered harness (writing its artifact
-/// when --out is given). Any option error exits 2 before anything runs.
-[[nodiscard]] int run_standalone(int argc, char** argv);
 
 /// main() body for the omnivar driver: --list / --only / --jobs / --out
 /// over every registered harness; writes per-harness artifacts plus

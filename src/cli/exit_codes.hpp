@@ -1,6 +1,6 @@
 #pragma once
-// Process exit codes of the omnivar driver and the standalone harness
-// binaries — the single authority; no scattered literals.
+// Process exit codes of the omnivar driver — the single authority; no
+// scattered literals.
 //
 //   0  the selected harnesses ran to completion (shape verdicts are
 //      recorded in artifacts, not exit codes)

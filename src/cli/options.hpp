@@ -1,22 +1,21 @@
 #pragma once
-// Shared command-line / environment handling for the campaign driver and
-// the standalone harness binaries.
+// Command-line / environment handling for the omnivar campaign driver.
 //
-// Every binary accepts the same flags:
+// Flags:
 //   --list            list registered harnesses and exit
 //   --scenarios       list the scenario catalog and exit
 //   --isa-report      list the batched-kernel ISA levels this host can
 //                     dispatch to (one per line, best last) and exit
-//   --only <glob>     select harnesses by name glob (repeatable; omnivar)
+//   --only <glob>     select harnesses by name glob (repeatable)
 //   --jobs[=]N        run the campaign on one pool of N workers (0 = one
 //                     per hardware thread): every protocol run of every
 //                     selected harness and scenario queues there, and
 //                     units overlap; falls back to OMNIVAR_JOBS, else 1 —
 //                     inline, no threads
 //   --scenario[=]S    run on scenario S: a catalog name or a scenario-file
-//                     path; repeatable — the omnivar driver fans the
-//                     selected harnesses out over every listed scenario in
-//                     one process (one shared --out cache); falls back to
+//                     path; repeatable — the driver fans the selected
+//                     harnesses out over every listed scenario in one
+//                     process (one shared --out cache); falls back to
 //                     OMNIVAR_SCENARIO, else the paper's Dardel+Vera
 //                     default
 //   --scenario-set[=]FILE
@@ -53,7 +52,7 @@
 // "saturate every core" on a measurement harness, and a stale or unknown
 // flag must not silently run a different campaign, so every malformed,
 // unknown or value-less argument is collected in Options::errors and the
-// entry points exit 2 before running anything.
+// driver exits 2 before running anything.
 
 #include <cstddef>
 #include <string>
@@ -69,7 +68,7 @@ namespace omv::cli {
 /// Strictly parses a job count ("0" = hardware concurrency).
 [[nodiscard]] bool parse_job_count(const char* text, std::size_t& out);
 
-/// Parsed options shared by omnivar and the standalone binaries.
+/// Parsed omnivar options.
 struct Options {
   bool list = false;
   bool list_scenarios = false;  ///< --scenarios catalog listing.

@@ -150,10 +150,6 @@ class SimTeam {
   /// any mismatch (including a team-size mismatch).
   void restore(snap::SnapshotReader& r);
 
-  /// Re-derives independent RNG sub-streams (simulator models + placement)
-  /// keyed by `salt`, for warm-started forks of a restored snapshot.
-  void fork_streams(std::uint64_t salt);
-
  private:
   friend class snap::Capture;
   friend class snap::Restore;

@@ -182,11 +182,6 @@ class FreqModel {
     return index_.at(numa).depths;
   }
 
-  /// Re-derives the RNG sub-streams keyed by `salt` without touching the
-  /// materialized episode history — the fork half of snapshot fork
-  /// semantics.
-  void fork_streams(std::uint64_t salt);
-
  private:
   friend class snap::Capture;
   friend class snap::Restore;

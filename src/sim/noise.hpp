@@ -182,10 +182,6 @@ class NoiseModel {
 
   [[nodiscard]] const NoiseConfig& config() const noexcept { return cfg_; }
 
-  /// Re-derives all RNG sub-streams keyed by `salt` without touching the
-  /// materialized event history — the fork half of snapshot fork semantics.
-  void fork_streams(std::uint64_t salt);
-
  private:
   friend class snap::Capture;
   friend class snap::Restore;

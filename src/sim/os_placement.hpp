@@ -71,10 +71,6 @@ class PlacementModel {
 
   [[nodiscard]] bool pinned() const noexcept { return pinned_; }
 
-  /// Re-derives the migration RNG stream keyed by `salt` (snapshot fork
-  /// semantics; the current placement is untouched).
-  void fork_streams(std::uint64_t salt) { rng_ = rng_.fork(salt); }
-
  private:
   friend class snap::Capture;
   friend class snap::Restore;

@@ -119,11 +119,6 @@ class Simulator {
   /// before any field is decoded.
   void restore(snap::SnapshotReader& r);
 
-  /// Re-derives independent RNG sub-streams for every model, keyed by
-  /// `salt`, leaving materialized histories shared — N forks of one
-  /// restored snapshot diverge deterministically for warm-started sweeps.
-  void fork_streams(std::uint64_t salt);
-
  private:
   friend class snap::Capture;
   friend class snap::Restore;

@@ -81,23 +81,22 @@ TEST(Options, MalformedAndUnknownArgumentsAreCollected) {
   EXPECT_EQ(o.errors.size(), 3u);  // bad jobs, unknown, missing value
 }
 
-// Both entry points refuse every option error with exit 2 before acting:
-// --help alone succeeds, but --help plus an unknown flag, a malformed value
-// or a missing value does not.
+// The driver refuses every option error with exit 2 before acting: --help
+// alone succeeds, but --help plus an unknown flag, a malformed value or a
+// missing value does not.
 TEST(Options, EntryPointsExitUsageOnAnyOptionError) {
-  for (const auto entry : {&run_campaign, &run_standalone}) {
-    std::vector<std::string> ok{"prog", "--help"};
-    auto ok_argv = argv_of(ok);
-    EXPECT_EQ(entry(static_cast<int>(ok_argv.size()), ok_argv.data()), 0);
-    for (std::vector<std::string> bad :
-         {std::vector<std::string>{"prog", "--help", "--cell-jobs", "8"},
-          std::vector<std::string>{"prog", "--help", "--jobs=x"},
-          std::vector<std::string>{"prog", "--help", "--out"}}) {
-      auto argv = argv_of(bad);
-      EXPECT_EQ(entry(static_cast<int>(argv.size()), argv.data()),
-                kExitUsage)
-          << bad[2];
-    }
+  std::vector<std::string> ok{"prog", "--help"};
+  auto ok_argv = argv_of(ok);
+  EXPECT_EQ(run_campaign(static_cast<int>(ok_argv.size()), ok_argv.data()),
+            0);
+  for (std::vector<std::string> bad :
+       {std::vector<std::string>{"prog", "--help", "--cell-jobs", "8"},
+        std::vector<std::string>{"prog", "--help", "--jobs=x"},
+        std::vector<std::string>{"prog", "--help", "--out"}}) {
+    auto argv = argv_of(bad);
+    EXPECT_EQ(run_campaign(static_cast<int>(argv.size()), argv.data()),
+              kExitUsage)
+        << bad[2];
   }
 }
 

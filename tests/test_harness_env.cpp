@@ -1,18 +1,24 @@
 // Tests for the bench-harness environment handling: the OMNIVAR_QUICK /
-// OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides and the --jobs /
-// OMNIVAR_JOBS sharding knob in bench/harness.hpp.
+// OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides in bench/harness.hpp, and
+// the --jobs / OMNIVAR_JOBS sharding knob as the driver resolves it
+// (cli::parse_options, then cli::effective_jobs).
 
 #include "bench/harness.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/parallel_runner.hpp"
 
 namespace omv::harness {
 namespace {
 
-/// Clears every OMNIVAR_* variable and the --jobs override around each
-/// test so cases cannot leak protocol settings into each other.
+/// Clears every OMNIVAR_* protocol/jobs variable around each test so cases
+/// cannot leak settings into each other.
 class HarnessEnvTest : public ::testing::Test {
  protected:
   void SetUp() override { clear(); }
@@ -23,9 +29,21 @@ class HarnessEnvTest : public ::testing::Test {
     ::unsetenv("OMNIVAR_RUNS");
     ::unsetenv("OMNIVAR_REPS");
     ::unsetenv("OMNIVAR_JOBS");
-    jobs_override() = 0;
   }
 };
+
+/// Parses `args` (after the program name) the way the driver does.
+cli::Options parse(std::vector<std::string> args) {
+  args.insert(args.begin(), "omnivar");
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  return cli::parse_options(static_cast<int>(argv.size()), argv.data());
+}
+
+/// The worker count a driver invocation with `args` would run on.
+std::size_t jobs_for(std::vector<std::string> args) {
+  return cli::effective_jobs(parse(std::move(args)).jobs);
+}
 
 TEST_F(HarnessEnvTest, PaperSpecDefaultsMatchPaperProtocol) {
   const auto spec = paper_spec(77);
@@ -92,83 +110,79 @@ TEST_F(HarnessEnvTest, ExplicitOverridesBeatQuick) {
   EXPECT_EQ(spec.reps, 10u);  // quick clamp still applies to reps
 }
 
-TEST_F(HarnessEnvTest, JobsDefaultsToSerial) { EXPECT_EQ(jobs(), 1u); }
+TEST_F(HarnessEnvTest, JobsDefaultsToSerial) {
+  EXPECT_EQ(cli::effective_jobs(0), 1u);
+}
 
 TEST_F(HarnessEnvTest, JobsReadsEnvironment) {
   ::setenv("OMNIVAR_JOBS", "3", 1);
-  EXPECT_EQ(jobs(), 3u);
+  EXPECT_EQ(cli::effective_jobs(0), 3u);
 }
 
 TEST_F(HarnessEnvTest, JobsZeroMeansHardwareConcurrency) {
   ::setenv("OMNIVAR_JOBS", "0", 1);
-  EXPECT_GE(jobs(), 1u);
-  EXPECT_EQ(jobs(), resolve_jobs(0));
+  EXPECT_GE(cli::effective_jobs(0), 1u);
+  EXPECT_EQ(cli::effective_jobs(0), resolve_jobs(0));
 }
 
 TEST_F(HarnessEnvTest, ParseArgsEqualsForm) {
-  const char* argv[] = {"bench", "--jobs=5"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 5u);
+  EXPECT_EQ(jobs_for({"--jobs=5"}), 5u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsSeparateForm) {
-  const char* argv[] = {"bench", "--jobs", "7"};
-  parse_args(3, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 7u);
+  EXPECT_EQ(jobs_for({"--jobs", "7"}), 7u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsOverridesEnvironment) {
   ::setenv("OMNIVAR_JOBS", "2", 1);
-  const char* argv[] = {"bench", "--jobs=9"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 9u);
+  EXPECT_EQ(jobs_for({"--jobs=9"}), 9u);
 }
 
 TEST_F(HarnessEnvTest, ParseJobCountStrict) {
   std::size_t n = 0;
-  EXPECT_TRUE(parse_job_count("5", n));
+  EXPECT_TRUE(cli::parse_job_count("5", n));
   EXPECT_EQ(n, 5u);
-  EXPECT_TRUE(parse_job_count("0", n));
+  EXPECT_TRUE(cli::parse_job_count("0", n));
   EXPECT_EQ(n, resolve_jobs(0));
-  EXPECT_FALSE(parse_job_count("", n));
-  EXPECT_FALSE(parse_job_count("abc", n));
-  EXPECT_FALSE(parse_job_count("1O", n));  // letter O typo
-  EXPECT_FALSE(parse_job_count("4 ", n));
-  EXPECT_FALSE(parse_job_count(nullptr, n));
-  EXPECT_FALSE(parse_job_count("-4", n));  // strtoul would wrap this
-  EXPECT_FALSE(parse_job_count("+4", n));
-  EXPECT_FALSE(parse_job_count("99999999999999999999999", n));  // ERANGE
+  EXPECT_FALSE(cli::parse_job_count("", n));
+  EXPECT_FALSE(cli::parse_job_count("abc", n));
+  EXPECT_FALSE(cli::parse_job_count("1O", n));  // letter O typo
+  EXPECT_FALSE(cli::parse_job_count("4 ", n));
+  EXPECT_FALSE(cli::parse_job_count(nullptr, n));
+  EXPECT_FALSE(cli::parse_job_count("-4", n));  // strtoul would wrap this
+  EXPECT_FALSE(cli::parse_job_count("+4", n));
+  EXPECT_FALSE(cli::parse_job_count("99999999999999999999999", n));  // ERANGE
 }
 
-TEST_F(HarnessEnvTest, MalformedJobsFlagIsIgnoredNotExpanded) {
-  const char* argv[] = {"bench", "--jobs=1O"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);  // stays serial, does not become all cores
+TEST_F(HarnessEnvTest, MalformedJobsFlagIsRejectedNotExpanded) {
+  const auto o = parse({"--jobs=1O"});
+  EXPECT_EQ(o.errors.size(), 1u);  // the driver exits 2 on it
+  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);  // never all cores
 }
 
 TEST_F(HarnessEnvTest, MalformedJobsEnvFallsBackToSerial) {
   ::setenv("OMNIVAR_JOBS", "abc", 1);
-  EXPECT_EQ(jobs(), 1u);
+  EXPECT_EQ(cli::effective_jobs(0), 1u);
 }
 
 TEST_F(HarnessEnvTest, NegativeJobsIsRejectedNotWrapped) {
-  const char* argv[] = {"bench", "--jobs=-4"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);  // not ULONG_MAX-3 workers
+  const auto o = parse({"--jobs=-4"});
+  EXPECT_EQ(o.errors.size(), 1u);
+  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);  // not ULONG_MAX-3 workers
   ::setenv("OMNIVAR_JOBS", "-4", 1);
-  EXPECT_EQ(jobs(), 1u);
+  EXPECT_EQ(cli::effective_jobs(0), 1u);
 }
 
-TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsIgnored) {
-  const char* argv[] = {"bench", "--jobs"};
-  parse_args(2, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 1u);
+TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsRejected) {
+  const auto o = parse({"--jobs"});
+  EXPECT_EQ(o.errors.size(), 1u);
+  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);
 }
 
-TEST_F(HarnessEnvTest, ParseArgsIgnoresUnknownArguments) {
-  const char* argv[] = {"bench", "--frobnicate", "--jobs=4", "positional"};
-  parse_args(4, const_cast<char**>(argv));
-  EXPECT_EQ(jobs(), 4u);
+TEST_F(HarnessEnvTest, ParseArgsRejectsUnknownArguments) {
+  const auto o = parse({"--frobnicate", "--jobs=4", "positional"});
+  EXPECT_EQ(o.errors.size(), 2u);  // both reported, neither skipped
+  EXPECT_EQ(o.jobs, 4u);           // the valid flag still parses
 }
 
 TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
@@ -183,7 +197,9 @@ TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
              static_cast<double>(c.rep);
     };
   };
-  const auto sharded = run_sharded(spec, factory);
+  const std::size_t jobs = cli::effective_jobs(0);
+  ASSERT_EQ(jobs, 4u);
+  const auto sharded = run_experiment_parallel(spec, factory, jobs);
   const auto serial = run_experiment(spec, [](const RepContext& c) {
     return static_cast<double>(c.run_seed % 1000) +
            static_cast<double>(c.rep);

@@ -15,7 +15,6 @@
 #include "core/rng.hpp"
 #include "omp_model/team.hpp"
 #include "scenario/registry.hpp"
-#include "sim/noise.hpp"
 #include "sim/simulator.hpp"
 #include "topo/proc_bind.hpp"
 
@@ -379,78 +378,6 @@ TEST(SnapshotComponents, TeamSizeMismatchIsRejected) {
   const std::string msg = error_of(
       [&] { bench::restore_run_state(blob, "resized", team_b); });
   EXPECT_TRUE(contains(msg, "team size mismatch")) << msg;
-}
-
-TEST(SnapshotComponents, TeamForkSameSaltIsDeterministic) {
-  const auto spec = scenario::ScenarioRegistry::instance().get("noisy-cloud");
-  const topo::Machine machine = spec.machine.build();
-  const auto cfg = team_cfg(8);
-
-  sim::Simulator sim_a(machine, spec.sim);
-  ompsim::SimTeam team_a(sim_a, cfg, 1);
-  team_a.begin_run(42);
-  advance(team_a, 2);
-  const std::string blob = bench::capture_run_state(team_a);
-
-  // Two independent restores forked with the same salt must continue
-  // bit-identically — fork() is a pure function of (state, salt).
-  sim::Simulator s1(machine, spec.sim);
-  ompsim::SimTeam t1(s1, cfg, 1);
-  bench::restore_run_state(blob, "fork-base", t1);
-  t1.fork_streams(5);
-  sim::Simulator s2(machine, spec.sim);
-  ompsim::SimTeam t2(s2, cfg, 1);
-  bench::restore_run_state(blob, "fork-base", t2);
-  t2.fork_streams(5);
-
-  EXPECT_EQ(clocks_after(t1, 3), clocks_after(t2, 3));
-}
-
-/// Materialized-event signature of a noise model over a long window: the
-/// per-stream column lengths plus time/duration sums. Forked RNG streams
-/// must change the post-fork tail of this signature.
-std::vector<double> noise_signature(sim::NoiseModel& nm) {
-  // Force horizon extension well past the lazy 0.25 s chunking so the
-  // post-fork streams actually draw.
-  for (std::size_t h = 0; h < nm.n_event_streams(); ++h) {
-    (void)nm.preemption_delay(h, 1.9, 2.0);
-  }
-  std::vector<double> sig;
-  for (std::size_t h = 0; h < nm.n_event_streams(); ++h) {
-    const auto times = nm.event_times(h);
-    const auto durs = nm.event_durations(h);
-    double ts = 0.0, ds = 0.0;
-    for (const double t : times) ts += t;
-    for (const double d : durs) ds += d;
-    sig.push_back(static_cast<double>(times.size()));
-    sig.push_back(ts);
-    sig.push_back(ds);
-  }
-  return sig;
-}
-
-TEST(SnapshotComponents, NoiseForkDerivesIndependentStreams) {
-  const topo::Machine m = topo::Machine::vera();
-  const auto busy = topo::CpuSet::range(0, m.n_threads());
-  sim::NoiseModel a(m, sim::NoiseConfig::vera());
-  sim::NoiseModel b(m, sim::NoiseConfig::vera());
-  sim::NoiseModel c(m, sim::NoiseConfig::vera());
-  sim::NoiseModel d(m, sim::NoiseConfig::vera());
-  a.begin_run(11, busy);
-  b.begin_run(11, busy);
-  c.begin_run(11, busy);
-  d.begin_run(11, busy);
-  b.fork_streams(3);
-  c.fork_streams(3);
-  d.fork_streams(4);
-
-  const auto sa = noise_signature(a);
-  const auto sb = noise_signature(b);
-  const auto sc = noise_signature(c);
-  const auto sd = noise_signature(d);
-  EXPECT_EQ(sb, sc);  // same salt: identical derived streams
-  EXPECT_NE(sb, sa);  // forked vs unforked diverge past the fork point
-  EXPECT_NE(sb, sd);  // different salts diverge from each other
 }
 
 TEST(SnapshotCheckpoint, PolicyEngagement) {
