@@ -136,10 +136,7 @@ int run_perf_hotpath(cli::RunContext& ctx) {
   // on an enumeration pass, and the timing loops must not burn real time.
   if (ctx.enumerating()) return 0;
 
-  const bool quick = [] {
-    const char* q = std::getenv("OMNIVAR_QUICK");
-    return q && q[0] == '1';
-  }();
+  const bool quick = harness::quick();
   const double budget = quick ? 0.002 : 0.02;
   const std::size_t reps = quick ? 3 : 7;
   const double horizon = quick ? 0.5 : 2.0;

@@ -5,27 +5,23 @@
 // itself into the omnivar registry (cli/registry.hpp); `omnivar --only
 // <name>` runs it. Harnesses use the paper's full protocol (10 runs x 100
 // outer repetitions) by default; set OMNIVAR_QUICK=1 to shrink the
-// protocol for smoke runs, or OMNIVAR_RUNS / OMNIVAR_REPS to override
-// explicitly.
+// protocol for smoke runs.
 //
-// Protocol execution is sharded across worker threads: pass --jobs=N (or
-// set OMNIVAR_JOBS=N; 0 = one worker per hardware thread) to run the R
-// independent runs of every configuration concurrently. Results are
-// bit-identical to the serial default (--jobs=1) because each run derives
-// its entire state from its run seed; run functions receive the resolved
-// count via RunContext::jobs(). With --out DIR, every protocol cell
-// persists through the spec-hash result cache and the harness emits a JSON
-// artifact (cli/campaign.hpp).
+// Protocol execution is sharded across worker threads: pass --jobs=N (0 =
+// one worker per hardware thread) to run the R independent runs of every
+// configuration concurrently. Results are bit-identical to the serial
+// default (--jobs=1) because each run derives its entire state from its
+// run seed; run functions receive the resolved count via
+// RunContext::jobs(). With --out DIR, every protocol cell persists through
+// the spec-hash result cache and the harness emits a JSON artifact
+// (cli/campaign.hpp).
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "cli/campaign.hpp"
-#include "cli/options.hpp"
 #include "cli/registry.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
@@ -37,29 +33,13 @@
 
 namespace omv::harness {
 
-/// Applies a protocol-count override from the environment: a malformed or
-/// zero value warns and leaves `value` unchanged (a typo'd OMNIVAR_RUNS
-/// must not silently produce an empty RunMatrix and NaN statistics).
-inline void apply_count_env(const char* name, std::size_t& value) {
-  const char* text = std::getenv(name);
-  if (text == nullptr) return;
-  std::size_t v = 0;
-  if (cli::parse_uint(text, v) && v > 0) {
-    value = v;
-  } else {
-    // Warn once per variable: paper_spec runs once per swept
-    // configuration, and a dozen identical lines would bury real output.
-    static std::set<std::string> warned;
-    if (warned.insert(name).second) {
-      std::fprintf(stderr,
-                   "harness: ignoring malformed %s='%s' (expected a "
-                   "positive integer)\n",
-                   name, text);
-    }
-  }
+/// True when OMNIVAR_QUICK=1 asks for the smoke-sized protocol.
+inline bool quick() {
+  const char* q = std::getenv("OMNIVAR_QUICK");
+  return q && q[0] == '1';
 }
 
-/// Protocol spec honoring the environment overrides.
+/// The paper's protocol spec, clamped to 3 runs x 10 reps under quick().
 inline ExperimentSpec paper_spec(std::uint64_t seed, std::size_t runs = 10,
                                  std::size_t reps = 100) {
   ExperimentSpec spec;
@@ -67,12 +47,10 @@ inline ExperimentSpec paper_spec(std::uint64_t seed, std::size_t runs = 10,
   spec.reps = reps;
   spec.warmup = 1;
   spec.seed = seed;
-  if (const char* q = std::getenv("OMNIVAR_QUICK"); q && q[0] == '1') {
+  if (quick()) {
     spec.runs = std::min<std::size_t>(spec.runs, 3);
     spec.reps = std::min<std::size_t>(spec.reps, 10);
   }
-  apply_count_env("OMNIVAR_RUNS", spec.runs);
-  apply_count_env("OMNIVAR_REPS", spec.reps);
   return spec;
 }
 
@@ -107,8 +85,8 @@ inline Platform vera() {
 }
 
 /// The platforms this invocation contrasts: the paper's Dardel+Vera pair
-/// by default, the single selected scenario under --scenario /
-/// OMNIVAR_SCENARIO. Each is recorded into the artifact's provenance.
+/// by default, the single selected scenario under --scenario. Each is
+/// recorded into the artifact's provenance.
 inline std::vector<Platform> platforms(cli::RunContext& ctx) {
   std::vector<Platform> out;
   if (const auto* s = ctx.scenario()) {
@@ -138,9 +116,8 @@ inline Platform freq_session_platform(cli::RunContext& ctx) {
   return p;
 }
 
-/// True when a --scenario / OMNIVAR_SCENARIO selection replaced the paper
-/// defaults (harnesses derive generic team sizes instead of the paper's
-/// hand-picked ladders).
+/// True when a --scenario selection replaced the paper defaults (harnesses
+/// derive generic team sizes instead of the paper's hand-picked ladders).
 inline bool scenario_mode(const cli::RunContext& ctx) {
   return ctx.scenario() != nullptr;
 }
@@ -286,19 +263,6 @@ inline void header(cli::RunContext& ctx, const std::string& experiment,
               s->geometry_summary().c_str());
   }
   ctx.print("Paper claim: %s\n\n", claim.c_str());
-}
-
-/// Header without scenario context (ad-hoc callers).
-inline void header(const std::string& experiment, const std::string& claim) {
-  std::printf("%s", report::banner(experiment).c_str());
-  std::printf("Paper claim: %s\n\n", claim.c_str());
-}
-
-/// Prints the "shape check" verdict line the EXPERIMENTS.md records.
-/// Prefer RunContext::verdict (records into the JSON artifact) in harness
-/// run functions; this stays for ad-hoc callers.
-inline void verdict(bool ok, const std::string& what) {
-  std::printf("[%s] %s\n", ok ? "SHAPE-OK" : "SHAPE-MISMATCH", what.c_str());
 }
 
 }  // namespace omv::harness

@@ -528,8 +528,7 @@ void print_usage(const char* argv0) {
                "protocol run\n"
                "               of every selected harness and scenario (0 = "
                "one per\n"
-               "               hardware thread; default: OMNIVAR_JOBS, else "
-               "1 — inline);\n"
+               "               hardware thread; default 1 — inline);\n"
                "               output is replayed in registry x scenario "
                "order, so\n"
                "               stdout/artifacts/cache are byte-identical "
@@ -538,9 +537,8 @@ void print_usage(const char* argv0) {
                "scenario-file\n"
                "               path (repeatable: the campaign fans out "
                "over every\n"
-               "               listed scenario; default: OMNIVAR_SCENARIO, "
-               "else the\n"
-               "               paper's Dardel+Vera pair)\n"
+               "               listed scenario; default: the paper's "
+               "Dardel+Vera pair)\n"
                "  --scenario-set FILE\n"
                "               append scenario selectors from FILE (one "
                "per line,\n"
@@ -556,9 +554,8 @@ void print_usage(const char* argv0) {
                "  --checkpoint-every N\n"
                "               checkpoint each protocol cell every N timed "
                "reps to a\n"
-               "               .snap cache sidecar (requires --out; default: "
-               "\n"
-               "               OMNIVAR_CHECKPOINT_EVERY, else off)\n"
+               "               .snap cache sidecar (requires --out; default "
+               "off)\n"
                "  --resume SRC resume interrupted cells: 'auto' scans each "
                "cell's\n"
                "               sidecar, a path names one snapshot (requires "
@@ -566,17 +563,15 @@ void print_usage(const char* argv0) {
                "  --retry-cells N\n"
                "               retry a failing protocol cell N times (seeded\n"
                "               exponential backoff) before quarantining it\n"
-               "               (default: OMNIVAR_RETRY_CELLS, else 0)\n"
+               "               (default 0)\n"
                "  --cell-timeout MS\n"
                "               per-cell wall-clock budget, enforced "
                "cooperatively at\n"
-               "               repetition boundaries (default: "
-               "OMNIVAR_CELL_TIMEOUT_MS,\n"
-               "               else unlimited)\n"
+               "               repetition boundaries (default unlimited)\n"
                "  --fault-spec SPEC\n"
                "               arm deterministic fault injection, e.g.\n"
-               "               'cell_throw@3,torn_write:cache@2' (default:\n"
-               "               OMNIVAR_FAULT_SPEC, else off)\n"
+               "               'cell_throw@3,torn_write:cache@2' (default "
+               "off)\n"
                "exit codes: 0 ok, 2 usage, 3 checkpoint stop, 4 cell(s) "
                "quarantined,\n"
                "            1 other failure\n",
@@ -616,8 +611,8 @@ void print_scenarios() {
   }
 }
 
-/// Resolves the --scenario / OMNIVAR_SCENARIO selection. Returns false
-/// (with a stderr report) when the selection cannot be resolved.
+/// Resolves one --scenario selector. Returns false (with a stderr report)
+/// when the selection cannot be resolved.
 bool resolve_scenario(const std::string& selection,
                       std::optional<scenario::ScenarioSpec>& out) {
   if (selection.empty()) return true;
@@ -629,15 +624,6 @@ bool resolve_scenario(const std::string& selection,
     return false;
   }
 }
-
-/// Everything the option layer resolves for running units.
-struct RunSetup {
-  std::size_t jobs = 1;
-  std::string out_dir;
-  std::size_t ckpt_every = 0;
-  std::string resume;
-  SupervisorConfig sup;
-};
 
 /// Reports every option error; false when there was any. Callers exit 2
 /// before running anything: a stale or typo'd flag must never silently
@@ -684,7 +670,7 @@ struct Unit {
 /// unit's science stdout for ordered replay; `pool` non-null queues its
 /// cold cells' runs on the campaign pool, starting at priority
 /// `unit_cost`.
-HarnessOutcome run_one(const Unit& unit, const RunSetup& setup,
+HarnessOutcome run_one(const Unit& unit, const Options& o,
                        std::string* capture, CampaignPool* pool,
                        double unit_cost) {
   const HarnessInfo& h = *unit.h;
@@ -697,9 +683,10 @@ HarnessOutcome run_one(const Unit& unit, const RunSetup& setup,
   // (RunContext's ensure_dir), a failing harness, or an artifact write
   // error must mark this harness FAILED, not std::terminate the campaign.
   try {
-    RunContext ctx(h.name, setup.jobs, setup.out_dir, *unit.scn);
-    ctx.configure_checkpoints(setup.ckpt_every, setup.resume);
-    ctx.configure_supervision(setup.sup.retries, setup.sup.timeout);
+    RunContext ctx(h.name, o.jobs, o.out_dir, *unit.scn);
+    ctx.configure_checkpoints(o.checkpoint_every, o.resume);
+    ctx.configure_supervision(o.retry_cells,
+                              std::chrono::milliseconds(o.cell_timeout_ms));
     ctx.set_output_capture(capture);
     ctx.configure_pool(pool, unit_cost);
     try {
@@ -717,8 +704,8 @@ HarnessOutcome run_one(const Unit& unit, const RunSetup& setup,
     out.cached = ctx.cache_hits();
     out.computed = ctx.cache_misses();
     out.failures = ctx.failures();
-    if (!setup.out_dir.empty() && out.exit_code == kExitOk) {
-      core::atomic_write_file(setup.out_dir + "/" + out.artifact,
+    if (!o.out_dir.empty() && out.exit_code == kExitOk) {
+      core::atomic_write_file(o.out_dir + "/" + out.artifact,
                               ctx.artifact_json(h.description), "artifact");
       out.artifact_written = true;
     }
@@ -824,12 +811,10 @@ void report_outcome(const HarnessOutcome& o) {
                o.verdicts_total, o.cached, o.computed, o.seconds);
 }
 
-/// Resolves and arms the fault-injection plan (--fault-spec /
-/// OMNIVAR_FAULT_SPEC). Returns false on a malformed spec — a usage error:
-/// a typo'd plan must never silently run a healthy campaign that CI then
-/// treats as a fault-survival proof.
-bool resolve_fault_spec(const Options& o) {
-  const std::string spec = effective_fault_spec(o.fault_spec);
+/// Arms the --fault-spec fault-injection plan. Returns false on a malformed
+/// spec — a usage error: a typo'd plan must never silently run a healthy
+/// campaign that CI then treats as a fault-survival proof.
+bool resolve_fault_spec(const std::string& spec) {
   try {
     fault::set_active_spec(spec);
   } catch (const std::exception& e) {
@@ -843,16 +828,16 @@ bool resolve_fault_spec(const Options& o) {
   return true;
 }
 
-/// Resolves every effective scenario selector. Paper mode (no selection)
-/// yields one disengaged entry so the unit fan-out always has at least one
-/// scenario axis. Duplicate selections are a usage error: two units would
+/// Resolves every scenario selector. Paper mode (no selection) yields one
+/// disengaged entry so the unit fan-out always has at least one scenario
+/// axis. Duplicate selections are a usage error: two units would
 /// race to compute identical cell hashes for identical artifacts.
 bool resolve_scenario_list(
     const Options& o,
     std::vector<std::optional<scenario::ScenarioSpec>>& out) {
   std::vector<std::string> sels;
   try {
-    sels = effective_scenarios(o);
+    sels = scenario_selectors(o);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] %s\n", e.what());
     return false;
@@ -876,33 +861,6 @@ bool resolve_scenario_list(
     }
     out.push_back(std::move(s));
   }
-  return true;
-}
-
-/// Resolves the scenario list, the fault plan, checkpointing (reported and
-/// dropped without an --out dir: snapshots ride the result cache),
-/// supervision and the worker count. Returns false on a usage error
-/// (already reported).
-bool resolve_setup(const Options& o,
-                   std::vector<std::optional<scenario::ScenarioSpec>>& scns,
-                   RunSetup& setup) {
-  if (!resolve_scenario_list(o, scns)) return false;
-  if (!resolve_fault_spec(o)) return false;
-  setup.jobs = effective_jobs(o.jobs);
-  setup.out_dir = o.out_dir;
-  setup.ckpt_every = effective_checkpoint_every(o.checkpoint_every);
-  setup.resume = o.resume;
-  if ((setup.ckpt_every > 0 || !setup.resume.empty()) && o.out_dir.empty()) {
-    std::fprintf(stderr,
-                 "[omnivar] ignoring --checkpoint-every/--resume: "
-                 "checkpoint snapshots ride the result cache, which "
-                 "requires --out\n");
-    setup.ckpt_every = 0;
-    setup.resume.clear();
-  }
-  setup.sup.retries = effective_retry_cells(o.retry_cells);
-  setup.sup.timeout =
-      std::chrono::milliseconds(effective_cell_timeout_ms(o.cell_timeout_ms));
   return true;
 }
 
@@ -977,9 +935,9 @@ int print_plan(const std::vector<Unit>& units) {
 /// time: perf_hotpath times its own kernels off the pool and must have the
 /// CPUs to themselves. Per-unit progress chrome goes to stderr.
 std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
-                                      const RunSetup& setup) {
+                                      const Options& o) {
   std::optional<CampaignPool> pool;
-  if (setup.jobs > 1) pool.emplace(setup.jobs);
+  if (o.jobs > 1) pool.emplace(o.jobs);
   // An armed fault plan runs one unit at a time: occurrence counters (`@N`)
   // fire in process-wide arrival order, which only replays
   // deterministically when cells start one at a time. Runs still shard.
@@ -989,7 +947,7 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
                  "[omnivar] fault injection is armed; running one unit at a "
                  "time so @N occurrence counters replay deterministically "
                  "(runs still shard over %zu workers)\n",
-                 setup.jobs);
+                 o.jobs);
     overlap = false;
   }
   // Overlapping units dispatch by remaining enumerated cost.
@@ -1006,7 +964,7 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
     std::fprintf(stderr,
                  "[omnivar] worker pool: %zu workers, %zu cells across %zu "
                  "units\n",
-                 setup.jobs, n_cells, units.size());
+                 o.jobs, n_cells, units.size());
   }
 
   std::vector<std::string> captures(units.size());
@@ -1019,7 +977,7 @@ std::vector<HarnessOutcome> run_units(const std::vector<Unit>& units,
                                   : units[u].h->name)
                        .c_str(),
                    u + 1, units.size());
-      return run_one(units[u], setup, overlap ? &captures[u] : nullptr,
+      return run_one(units[u], o, overlap ? &captures[u] : nullptr,
                      pool ? &*pool : nullptr, unit_costs[u]);
     });
   };
@@ -1071,15 +1029,15 @@ int aggregate_rc(const std::vector<HarnessOutcome>& outcomes) {
 
 /// Writes campaign.json (when an out dir is configured) and returns the
 /// driver's exit code.
-int finish(const RunSetup& setup,
+int finish(const Options& o,
            const std::vector<std::optional<scenario::ScenarioSpec>>& scns,
            const std::vector<HarnessOutcome>& outcomes) {
   int rc = aggregate_rc(outcomes);
-  if (setup.out_dir.empty()) return rc;
+  if (o.out_dir.empty()) return rc;
   try {
-    write_campaign_json(setup.out_dir, setup.jobs, scns, outcomes);
+    write_campaign_json(o.out_dir, o.jobs, scns, outcomes);
     std::fprintf(stderr, "[omnivar] campaign summary: %s/campaign.json\n",
-                 setup.out_dir.c_str());
+                 o.out_dir.c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[omnivar] cannot write campaign.json: %s\n",
                  e.what());
@@ -1117,8 +1075,9 @@ int run_campaign(int argc, char** argv) {
     return 0;
   }
   std::vector<std::optional<scenario::ScenarioSpec>> scns;
-  RunSetup setup;
-  if (!resolve_setup(o, scns, setup)) return kExitUsage;
+  if (!resolve_scenario_list(o, scns) || !resolve_fault_spec(o.fault_spec)) {
+    return kExitUsage;
+  }
   const auto selected = reg.match(o.only);
   if (selected.empty()) {
     std::fprintf(stderr, "[omnivar] no harness matches");
@@ -1138,7 +1097,7 @@ int run_campaign(int argc, char** argv) {
                    scn->fingerprint().c_str());
     }
   }
-  return finish(setup, scns, run_units(units, setup));
+  return finish(o, scns, run_units(units, o));
 }
 
 }  // namespace omv::cli

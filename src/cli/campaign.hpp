@@ -3,7 +3,7 @@
 // harness.
 //
 // A RunContext is handed to each harness's run function. It provides:
-//   * jobs() — the worker-count knob (--jobs / OMNIVAR_JOBS);
+//   * jobs() — the worker-count knob (--jobs);
 //   * protocol() — cached protocol execution: each run_protocol invocation
 //     is keyed by a canonical spec fingerprint (harness, label, seed, runs,
 //     reps, warmup, benchmark config); its RunMatrix persists as
@@ -31,11 +31,11 @@
 // a recompute instead of silently serving stale cells. Bump the stamp
 // whenever model changes invalidate archived RunMatrix data.
 //
-// Scenario threading: when a --scenario / OMNIVAR_SCENARIO selection is
-// active, the resolved ScenarioSpec rides on the RunContext; harnesses run
-// on it instead of the paper's Dardel+Vera pair, and its fingerprint is
-// folded into every cell key (via harness::cell_key), so cached cells can
-// never be served across platforms.
+// Scenario threading: when a --scenario selection is active, the resolved
+// ScenarioSpec rides on the RunContext; harnesses run on it instead of the
+// paper's Dardel+Vera pair, and its fingerprint is folded into every cell
+// key (via harness::cell_key), so cached cells can never be served across
+// platforms.
 //
 // Campaign scheduling: at --jobs N > 1 the driver keeps one CellPool of N
 // workers for the whole campaign (CampaignPool) and runs every (harness,

@@ -1,7 +1,6 @@
 #include "cli/options.hpp"
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -164,33 +163,19 @@ Options parse_options(int argc, char** argv) {
       o.errors.push_back("unknown argument '" + std::string(arg) + "'");
     }
   }
+  // Snapshots ride the result cache: without --out there is nowhere to
+  // checkpoint to or resume from.
+  if ((o.checkpoint_every > 0 || !o.resume.empty()) && o.out_dir.empty()) {
+    o.errors.push_back(std::string(o.checkpoint_every > 0
+                                       ? "--checkpoint-every"
+                                       : "--resume") +
+                       " requires --out (checkpoint snapshots ride the "
+                       "result cache)");
+  }
   return o;
 }
 
-std::size_t effective_jobs(std::size_t cli_jobs) {
-  if (cli_jobs != 0) return cli_jobs;
-  if (const char* j = std::getenv("OMNIVAR_JOBS")) {
-    std::size_t n = 0;
-    if (parse_job_count(j, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_JOBS='%s' "
-                   "(expected a non-negative integer); running serial\n",
-                   j);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 1;
-}
-
-std::string effective_scenario(const std::string& cli_scenario) {
-  if (!cli_scenario.empty()) return cli_scenario;
-  if (const char* s = std::getenv("OMNIVAR_SCENARIO")) return s;
-  return {};
-}
-
-std::vector<std::string> effective_scenarios(const Options& o) {
+std::vector<std::string> scenario_selectors(const Options& o) {
   std::vector<std::string> out = o.scenarios;
   if (!o.scenario_set.empty()) {
     std::ifstream in(o.scenario_set);
@@ -208,70 +193,7 @@ std::vector<std::string> effective_scenarios(const Options& o) {
       out.push_back(line);
     }
   }
-  if (out.empty()) {
-    if (const char* s = std::getenv("OMNIVAR_SCENARIO"); s && *s != '\0') {
-      out.emplace_back(s);
-    }
-  }
   return out;
-}
-
-std::size_t effective_checkpoint_every(std::size_t cli_every) {
-  if (cli_every != 0) return cli_every;
-  if (const char* e = std::getenv("OMNIVAR_CHECKPOINT_EVERY")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CHECKPOINT_EVERY="
-                   "'%s' (expected a non-negative integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
-}
-
-std::size_t effective_retry_cells(std::size_t cli_retries) {
-  if (cli_retries != 0) return cli_retries;
-  if (const char* e = std::getenv("OMNIVAR_RETRY_CELLS")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_RETRY_CELLS='%s' "
-                   "(expected a non-negative integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
-}
-
-std::size_t effective_cell_timeout_ms(std::size_t cli_ms) {
-  if (cli_ms != 0) return cli_ms;
-  if (const char* e = std::getenv("OMNIVAR_CELL_TIMEOUT_MS")) {
-    std::size_t n = 0;
-    if (parse_uint(e, n)) return n;
-    static bool warned = [&] {
-      std::fprintf(stderr,
-                   "omnivar: ignoring malformed OMNIVAR_CELL_TIMEOUT_MS="
-                   "'%s' (expected milliseconds as a non-negative "
-                   "integer)\n",
-                   e);
-      return true;
-    }();
-    (void)warned;
-  }
-  return 0;
-}
-
-std::string effective_fault_spec(const std::string& cli_spec) {
-  if (!cli_spec.empty()) return cli_spec;
-  if (const char* s = std::getenv("OMNIVAR_FAULT_SPEC")) return s;
-  return {};
 }
 
 }  // namespace omv::cli

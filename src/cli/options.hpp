@@ -1,5 +1,7 @@
 #pragma once
-// Command-line / environment handling for the omnivar campaign driver.
+// Command-line handling for the omnivar campaign driver. The command line
+// is the only way to configure a campaign: no environment variable mirrors
+// a flag, so the invocation states the whole experimental setup.
 //
 // Flags:
 //   --list            list registered harnesses and exit
@@ -10,14 +12,12 @@
 //   --jobs[=]N        run the campaign on one pool of N workers (0 = one
 //                     per hardware thread): every protocol run of every
 //                     selected harness and scenario queues there, and
-//                     units overlap; falls back to OMNIVAR_JOBS, else 1 —
-//                     inline, no threads
+//                     units overlap; default 1 — inline, no threads
 //   --scenario[=]S    run on scenario S: a catalog name or a scenario-file
 //                     path; repeatable — the driver fans the selected
 //                     harnesses out over every listed scenario in one
-//                     process (one shared --out cache); falls back to
-//                     OMNIVAR_SCENARIO, else the paper's Dardel+Vera
-//                     default
+//                     process (one shared --out cache); default: the
+//                     paper's Dardel+Vera pair
 //   --scenario-set[=]FILE
 //                     append the scenario selectors listed in FILE (one
 //                     per line; '#' comments and blank lines skipped) to
@@ -28,31 +28,31 @@
 //   --out[=]DIR       campaign directory: JSON artifacts + result cache
 //   --checkpoint-every[=]N
 //                     checkpoint each protocol cell every N timed reps to
-//                     a .snap sidecar of its cache entry (requires --out);
-//                     falls back to OMNIVAR_CHECKPOINT_EVERY
+//                     a .snap sidecar of its cache entry (requires --out)
 //   --resume[=]SRC    resume interrupted cells: "auto" scans each cell's
 //                     .snap sidecar, an explicit path names one snapshot
 //                     (requires --out)
 //   --retry-cells[=]N retry a failing protocol cell N times (seeded
-//                     exponential backoff) before quarantining it; falls
-//                     back to OMNIVAR_RETRY_CELLS, else 0
+//                     exponential backoff) before quarantining it;
+//                     default 0
 //   --cell-timeout[=]MS
 //                     per-cell wall-clock budget in milliseconds, enforced
-//                     cooperatively at repetition boundaries; falls back
-//                     to OMNIVAR_CELL_TIMEOUT_MS, else unlimited
+//                     cooperatively at repetition boundaries; default
+//                     unlimited
 //   --fault-spec[=]SPEC
 //                     arm the deterministic fault-injection plan (see
-//                     core/faultinject.hpp for the grammar); falls back to
-//                     OMNIVAR_FAULT_SPEC; a malformed spec is a usage
-//                     error (exit 2), never silently ignored
+//                     core/faultinject.hpp for the grammar); a malformed
+//                     spec is a usage error (exit 2), never silently
+//                     ignored
 //   --version         print engine version, snapshot format and dispatched
 //                     ISA on stdout and exit
 //   --help            usage
 // Parsing is strict: a typo'd jobs value must not silently become
 // "saturate every core" on a measurement harness, and a stale or unknown
 // flag must not silently run a different campaign, so every malformed,
-// unknown or value-less argument is collected in Options::errors and the
-// driver exits 2 before running anything.
+// unknown or value-less argument — and a checkpoint flag without --out —
+// is collected in Options::errors and the driver exits 2 before running
+// anything.
 
 #include <cstddef>
 #include <string>
@@ -77,7 +77,7 @@ struct Options {
   bool help = false;
   bool plan = false;              ///< --plan cell enumeration listing.
   std::vector<std::string> only;  ///< --only name globs (empty = all).
-  std::size_t jobs = 0;           ///< resolved worker count; 0 = unset.
+  std::size_t jobs = 1;           ///< worker count (--jobs 0 resolved).
   std::vector<std::string> scenarios;  ///< --scenario selectors, in order.
   std::string scenario_set;       ///< --scenario-set file; empty = none.
   std::string out_dir;            ///< --out campaign dir; empty = none.
@@ -94,42 +94,10 @@ struct Options {
 /// always completes.
 [[nodiscard]] Options parse_options(int argc, char** argv);
 
-/// Effective worker count: `cli_jobs` when set (non-zero), else the
-/// OMNIVAR_JOBS environment variable (0 there = hardware concurrency; a
-/// malformed value is reported once to stderr and ignored), else 1 —
-/// serial, the paper's original execution model.
-[[nodiscard]] std::size_t effective_jobs(std::size_t cli_jobs);
-
-/// Effective scenario selector: `cli_scenario` when non-empty, else the
-/// OMNIVAR_SCENARIO environment variable, else "" — the paper's default
-/// Dardel+Vera contrast mode.
-[[nodiscard]] std::string effective_scenario(const std::string& cli_scenario);
-
-/// Effective scenario selector list: the repeated --scenario values plus
-/// the lines of --scenario-set FILE, in order; when both are absent, the
-/// OMNIVAR_SCENARIO environment variable as a single selector, else empty
-/// — the paper's Dardel+Vera default. Throws std::runtime_error when the
-/// set file cannot be read (a typo'd file must not silently run the
-/// default scenario).
-[[nodiscard]] std::vector<std::string> effective_scenarios(const Options& o);
-
-/// Effective checkpoint cadence: `cli_every` when set (non-zero), else the
-/// OMNIVAR_CHECKPOINT_EVERY environment variable (malformed values are
-/// reported once to stderr and ignored), else 0 — checkpointing off.
-[[nodiscard]] std::size_t effective_checkpoint_every(std::size_t cli_every);
-
-/// Effective cell retry budget: `cli_retries` when set (non-zero), else
-/// OMNIVAR_RETRY_CELLS (malformed values reported once and ignored),
-/// else 0 — quarantine on the first failure.
-[[nodiscard]] std::size_t effective_retry_cells(std::size_t cli_retries);
-
-/// Effective per-cell wall-clock budget in ms: `cli_ms` when set
-/// (non-zero), else OMNIVAR_CELL_TIMEOUT_MS (malformed values reported
-/// once and ignored), else 0 — unlimited.
-[[nodiscard]] std::size_t effective_cell_timeout_ms(std::size_t cli_ms);
-
-/// Effective fault spec: `cli_spec` when non-empty, else
-/// OMNIVAR_FAULT_SPEC, else "" — no faults armed.
-[[nodiscard]] std::string effective_fault_spec(const std::string& cli_spec);
+/// Scenario selector list: the repeated --scenario values plus the lines
+/// of --scenario-set FILE, in order; empty = the paper's Dardel+Vera
+/// default. Throws std::runtime_error when the set file cannot be read (a
+/// typo'd file must not silently run the default scenario).
+[[nodiscard]] std::vector<std::string> scenario_selectors(const Options& o);
 
 }  // namespace omv::cli

@@ -1,8 +1,8 @@
 #pragma once
 // Deterministic fault injection for the campaign engine.
 //
-// A fault plan is parsed from a textual spec (the OMNIVAR_FAULT_SPEC
-// environment variable or the --fault-spec flag) and armed process-wide.
+// A fault plan is parsed from a textual spec (the --fault-spec flag) and
+// armed process-wide.
 // Named sites threaded through the engine — cache commits ("cache", "key",
 // "sidecar"), snapshot I/O ("snapshot"), artifact writes ("artifact",
 // "campaign") and supervised cell execution — consult the plan at each
@@ -126,9 +126,7 @@ class FaultPlan {
   std::mutex mutex_;
 };
 
-/// The process-wide plan: parsed lazily from OMNIVAR_FAULT_SPEC on first
-/// use (a malformed env spec throws then — callers resolving at startup
-/// surface it as a usage error). Never null.
+/// The process-wide plan: disarmed until set_active_spec arms one.
 [[nodiscard]] FaultPlan& active_plan();
 
 /// Replaces the process-wide plan (parses `spec`; "" disarms). Used by the
@@ -136,7 +134,7 @@ class FaultPlan {
 /// malformed spec, leaving the previous plan armed.
 void set_active_spec(std::string_view spec);
 
-/// Disarms the process-wide plan and forgets any OMNIVAR_FAULT_SPEC read.
+/// Disarms the process-wide plan.
 void clear_active_plan();
 
 }  // namespace omv::fault

@@ -47,18 +47,13 @@ TEST(Options, ParsesAllFlags) {
   EXPECT_TRUE(o.errors.empty());
 }
 
-TEST(Options, ScenarioEqualsFormAndEnvFallback) {
+TEST(Options, ScenarioEqualsForm) {
   std::vector<std::string> args{"prog", "--scenario=epyc-like"};
   auto argv = argv_of(args);
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
   ASSERT_EQ(o.scenarios.size(), 1u);
   EXPECT_EQ(o.scenarios[0], "epyc-like");
-  EXPECT_EQ(effective_scenario(o.scenarios[0]), "epyc-like");
-  ::setenv("OMNIVAR_SCENARIO", "noisy-cloud", 1);
-  EXPECT_EQ(effective_scenario(""), "noisy-cloud");
-  EXPECT_EQ(effective_scenario("vera"), "vera");  // CLI wins
-  ::unsetenv("OMNIVAR_SCENARIO");
-  EXPECT_EQ(effective_scenario(""), "");
+  EXPECT_EQ(scenario_selectors(o), std::vector<std::string>{"epyc-like"});
 }
 
 TEST(Options, EqualsFormAndRepeatedOnly) {
@@ -77,13 +72,13 @@ TEST(Options, MalformedAndUnknownArgumentsAreCollected) {
                                 "--only"};
   auto argv = argv_of(args);
   const auto o = parse_options(static_cast<int>(argv.size()), argv.data());
-  EXPECT_EQ(o.jobs, 0u);  // -4 rejected, not wrapped
+  EXPECT_EQ(o.jobs, 1u);  // -4 rejected, not wrapped
   EXPECT_EQ(o.errors.size(), 3u);  // bad jobs, unknown, missing value
 }
 
 // The driver refuses every option error with exit 2 before acting: --help
-// alone succeeds, but --help plus an unknown flag, a malformed value or a
-// missing value does not.
+// alone succeeds, but --help plus an unknown flag, a malformed value, a
+// missing value or a checkpoint flag without --out does not.
 TEST(Options, EntryPointsExitUsageOnAnyOptionError) {
   std::vector<std::string> ok{"prog", "--help"};
   auto ok_argv = argv_of(ok);
@@ -92,7 +87,10 @@ TEST(Options, EntryPointsExitUsageOnAnyOptionError) {
   for (std::vector<std::string> bad :
        {std::vector<std::string>{"prog", "--help", "--cell-jobs", "8"},
         std::vector<std::string>{"prog", "--help", "--jobs=x"},
-        std::vector<std::string>{"prog", "--help", "--out"}}) {
+        std::vector<std::string>{"prog", "--help", "--out"},
+        std::vector<std::string>{"prog", "--help", "--checkpoint-every",
+                                 "4"},
+        std::vector<std::string>{"prog", "--help", "--resume", "auto"}}) {
     auto argv = argv_of(bad);
     EXPECT_EQ(run_campaign(static_cast<int>(argv.size()), argv.data()),
               kExitUsage)
@@ -118,24 +116,6 @@ TEST(Options, ParsesSupervisionFlags) {
   EXPECT_EQ(b.errors.size(), 2u);
   EXPECT_EQ(b.retry_cells, 0u);
   EXPECT_EQ(b.cell_timeout_ms, 0u);
-}
-
-TEST(Options, SupervisionEnvFallbacks) {
-  ::setenv("OMNIVAR_RETRY_CELLS", "4", 1);
-  ::setenv("OMNIVAR_CELL_TIMEOUT_MS", "2500", 1);
-  ::setenv("OMNIVAR_FAULT_SPEC", "enospc@1", 1);
-  EXPECT_EQ(effective_retry_cells(0), 4u);
-  EXPECT_EQ(effective_retry_cells(9), 9u);  // CLI wins
-  EXPECT_EQ(effective_cell_timeout_ms(0), 2500u);
-  EXPECT_EQ(effective_cell_timeout_ms(100), 100u);
-  EXPECT_EQ(effective_fault_spec(""), "enospc@1");
-  EXPECT_EQ(effective_fault_spec("cell_throw@1"), "cell_throw@1");
-  ::unsetenv("OMNIVAR_RETRY_CELLS");
-  ::unsetenv("OMNIVAR_CELL_TIMEOUT_MS");
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
-  EXPECT_EQ(effective_retry_cells(0), 0u);
-  EXPECT_EQ(effective_cell_timeout_ms(0), 0u);
-  EXPECT_EQ(effective_fault_spec(""), "");
 }
 
 // --------------------------------------------------------------- registry

@@ -14,7 +14,9 @@
 //   * --cell-timeout spends a cell's budget on its own compute only, not
 //     on its wait in the shared queue behind other units' cells;
 //   * every option error (unknown flag, malformed or missing value) exits
-//     2 before anything runs.
+//     2 before anything runs;
+//   * the command line is the only configuration: no environment variable
+//     that once mirrored a flag or resized the protocol changes the plan.
 //
 // The driver binary path arrives via OMNIVAR_BIN (set by the CMake test
 // harness to $<TARGET_FILE:omnivar>); the suite skips when it is absent so
@@ -35,6 +37,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -49,25 +52,36 @@ const std::vector<std::string> kHarnesses = {"fig1", "fig3", "table2"};
 const std::vector<std::string> kScenarios = {"vera", "epyc-like",
                                              "quiet-hpc"};
 
-/// fork/execs the driver with the standard multi-harness multi-scenario
-/// selection plus `extra_args`, stdout > `stdout_path` and stderr >
-/// `stdout_path`.err. OMNIVAR_QUICK=1 keeps the workload CI-sized, and
-/// OMNIVAR_JOBS=1 makes --jobs in `extra_args` the only worker knob;
-/// `fault_spec` non-empty arms the deterministic fault plan in the child.
-pid_t spawn_campaign(const std::string& bin,
-                     const std::vector<std::string>& extra_args,
-                     const std::string& stdout_path,
-                     const std::string& fault_spec = {}) {
+using EnvVars = std::vector<std::pair<std::string, std::string>>;
+
+/// fork/execs `bin args...` with stdout > `stdout_path` and stderr >
+/// `stdout_path`.err. OMNIVAR_QUICK=1 keeps the workload CI-sized; `env`
+/// adds further variables to the child's environment.
+pid_t spawn_driver(const std::string& bin, std::vector<std::string> args,
+                   const std::string& stdout_path, const EnvVars& env = {}) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;
   if (!::freopen(stdout_path.c_str(), "w", stdout)) ::_exit(97);
   if (!::freopen((stdout_path + ".err").c_str(), "w", stderr)) ::_exit(96);
   ::setenv("OMNIVAR_QUICK", "1", 1);
-  ::setenv("OMNIVAR_JOBS", "1", 1);
-  if (!fault_spec.empty()) {
-    ::setenv("OMNIVAR_FAULT_SPEC", fault_spec.c_str(), 1);
+  for (const auto& [name, value] : env) {
+    ::setenv(name.c_str(), value.c_str(), 1);
   }
-  std::vector<std::string> args{bin};
+  args.insert(args.begin(), bin);
+  std::vector<char*> argv;
+  argv.reserve(args.size() + 1);
+  for (auto& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ::execv(bin.c_str(), argv.data());
+  ::_exit(98);
+}
+
+/// spawn_driver with the standard multi-harness multi-scenario selection
+/// plus `extra_args`.
+pid_t spawn_campaign(const std::string& bin,
+                     const std::vector<std::string>& extra_args,
+                     const std::string& stdout_path) {
+  std::vector<std::string> args;
   for (const auto& h : kHarnesses) {
     args.push_back("--only");
     args.push_back(h);
@@ -76,13 +90,8 @@ pid_t spawn_campaign(const std::string& bin,
     args.push_back("--scenario");
     args.push_back(s);
   }
-  for (const auto& a : extra_args) args.push_back(a);
-  std::vector<char*> argv;
-  argv.reserve(args.size() + 1);
-  for (auto& a : args) argv.push_back(a.data());
-  argv.push_back(nullptr);
-  ::execv(bin.c_str(), argv.data());
-  ::_exit(98);
+  args.insert(args.end(), extra_args.begin(), extra_args.end());
+  return spawn_driver(bin, std::move(args), stdout_path);
 }
 
 int wait_exit_code(pid_t pid) {
@@ -222,14 +231,14 @@ TEST_F(CampaignSchedTest, QuarantineUnderCellParallelMatchesSerial) {
 
   const fs::path serial_out = dir_ / "serial";
   const pid_t serial = spawn_campaign(
-      bin, {"--out", serial_out.string(), "--jobs", "1"},
-      (dir_ / "serial.log").string(), spec);
+      bin, {"--out", serial_out.string(), "--jobs", "1", "--fault-spec", spec},
+      (dir_ / "serial.log").string());
   ASSERT_EQ(wait_exit_code(serial), 4);  // kExitQuarantined
 
   const fs::path par_out = dir_ / "par4";
   const pid_t par = spawn_campaign(
-      bin, {"--out", par_out.string(), "--jobs", "4"},
-      (dir_ / "par4.log").string(), spec);
+      bin, {"--out", par_out.string(), "--jobs", "4", "--fault-spec", spec},
+      (dir_ / "par4.log").string());
   ASSERT_EQ(wait_exit_code(par), 4);
   EXPECT_NE(slurp(dir_ / "par4.log.err").find("running one unit at a time"),
             std::string::npos);
@@ -356,6 +365,46 @@ TEST_F(CampaignSchedTest, OptionErrorsExitUsageBeforeRunning) {
     EXPECT_NE(slurp(log + ".err").find(bad[i][0]), std::string::npos)
         << bad[i][0];
     EXPECT_FALSE(fs::exists(out)) << bad[i][0];
+  }
+}
+
+// The command line is the only way to configure a campaign. None of the
+// environment variables that once mirrored a flag (or resized the
+// protocol) may change the cells a selection plans, and none is parsed at
+// all: a valid value is not obeyed and a malformed one draws neither an
+// error nor an "ignoring" warning.
+TEST_F(CampaignSchedTest, RemovedEnvMirrorsLeaveThePlanUnchanged) {
+  const std::string bin = omnivar_bin();
+  const std::vector<std::string> args{"--plan", "--only", "table2", "--only",
+                                      "fig1"};
+  const std::string base = (dir_ / "base").string();
+  ASSERT_EQ(wait_exit_code(spawn_driver(bin, args, base)), 0);
+  const std::string plan = slurp(base);
+  const std::string plan_err = slurp(base + ".err");
+  ASSERT_FALSE(plan.empty());
+
+  // Each variable with a valid non-default value.
+  const EnvVars removed = {{"OMNIVAR_JOBS", "3"},
+                           {"OMNIVAR_SCENARIO", "epyc-like"},
+                           {"OMNIVAR_CHECKPOINT_EVERY", "4"},
+                           {"OMNIVAR_RETRY_CELLS", "2"},
+                           {"OMNIVAR_CELL_TIMEOUT_MS", "2500"},
+                           {"OMNIVAR_FAULT_SPEC", "cell_throw@1"},
+                           {"OMNIVAR_RUNS", "6"},
+                           {"OMNIVAR_REPS", "33"}};
+  std::size_t i = 0;
+  for (const auto& [name, valid] : removed) {
+    for (const std::string& value : {valid, std::string("abc")}) {
+      const std::string setting = name + "=" + value;
+      const std::string log = (dir_ / ("env" + std::to_string(i++))).string();
+      EXPECT_EQ(wait_exit_code(spawn_driver(bin, args, log, {{name, value}})),
+                0)
+          << setting;
+      EXPECT_EQ(slurp(log), plan) << setting;
+      const std::string err = slurp(log + ".err");
+      EXPECT_EQ(err.find("ignoring"), std::string::npos) << setting;
+      EXPECT_EQ(err, plan_err) << setting;
+    }
   }
 }
 

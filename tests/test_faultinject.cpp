@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 
 namespace omv::fault {
 namespace {
@@ -158,9 +157,8 @@ TEST(FaultPlanCounters, DeterministicAcrossReplays) {
 
 // ------------------------------------------------------- process-wide plan
 
-TEST(ActivePlan, SetClearAndEnvFallback) {
+TEST(ActivePlan, SetAndClear) {
   clear_active_plan();
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
   EXPECT_FALSE(active_plan().armed());
 
   set_active_spec("enospc@1");
@@ -173,11 +171,6 @@ TEST(ActivePlan, SetClearAndEnvFallback) {
   EXPECT_THROW(set_active_spec("bogus@1"), std::invalid_argument);
   EXPECT_TRUE(active_plan().armed());
 
-  // The environment arms the plan lazily after a clear.
-  clear_active_plan();
-  ::setenv("OMNIVAR_FAULT_SPEC", "cell_throw@7", 1);
-  EXPECT_TRUE(active_plan().armed());
-  ::unsetenv("OMNIVAR_FAULT_SPEC");
   clear_active_plan();
   EXPECT_FALSE(active_plan().armed());
 }

@@ -1,7 +1,6 @@
-// Tests for the bench-harness environment handling: the OMNIVAR_QUICK /
-// OMNIVAR_RUNS / OMNIVAR_REPS protocol overrides in bench/harness.hpp, and
-// the --jobs / OMNIVAR_JOBS sharding knob as the driver resolves it
-// (cli::parse_options, then cli::effective_jobs).
+// Tests for the bench-harness protocol size (paper_spec and the
+// OMNIVAR_QUICK smoke clamp in bench/harness.hpp) and the --jobs sharding
+// knob as the driver parses it (cli::parse_options).
 
 #include "bench/harness.hpp"
 
@@ -12,24 +11,18 @@
 #include <utility>
 #include <vector>
 
+#include "cli/options.hpp"
 #include "core/parallel_runner.hpp"
 
 namespace omv::harness {
 namespace {
 
-/// Clears every OMNIVAR_* protocol/jobs variable around each test so cases
-/// cannot leak settings into each other.
+/// Clears OMNIVAR_QUICK around each test so cases cannot leak the smoke
+/// clamp into each other.
 class HarnessEnvTest : public ::testing::Test {
  protected:
-  void SetUp() override { clear(); }
-  void TearDown() override { clear(); }
-
-  static void clear() {
-    ::unsetenv("OMNIVAR_QUICK");
-    ::unsetenv("OMNIVAR_RUNS");
-    ::unsetenv("OMNIVAR_REPS");
-    ::unsetenv("OMNIVAR_JOBS");
-  }
+  void SetUp() override { ::unsetenv("OMNIVAR_QUICK"); }
+  void TearDown() override { ::unsetenv("OMNIVAR_QUICK"); }
 };
 
 /// Parses `args` (after the program name) the way the driver does.
@@ -42,7 +35,7 @@ cli::Options parse(std::vector<std::string> args) {
 
 /// The worker count a driver invocation with `args` would run on.
 std::size_t jobs_for(std::vector<std::string> args) {
-  return cli::effective_jobs(parse(std::move(args)).jobs);
+  return parse(std::move(args)).jobs;
 }
 
 TEST_F(HarnessEnvTest, PaperSpecDefaultsMatchPaperProtocol) {
@@ -80,49 +73,13 @@ TEST_F(HarnessEnvTest, QuickZeroIsDisabled) {
   EXPECT_EQ(spec.reps, 100u);
 }
 
-TEST_F(HarnessEnvTest, RunsAndRepsOverrideExplicitly) {
-  ::setenv("OMNIVAR_RUNS", "6", 1);
-  ::setenv("OMNIVAR_REPS", "33", 1);
-  const auto spec = paper_spec(1);
-  EXPECT_EQ(spec.runs, 6u);
-  EXPECT_EQ(spec.reps, 33u);
-}
-
-TEST_F(HarnessEnvTest, MalformedRunsRepsKeepDefaults) {
-  ::setenv("OMNIVAR_RUNS", "abc", 1);
-  ::setenv("OMNIVAR_REPS", "-5", 1);
-  const auto spec = paper_spec(1);
-  EXPECT_EQ(spec.runs, 10u);   // not strtoul's silent 0
-  EXPECT_EQ(spec.reps, 100u);
-}
-
-TEST_F(HarnessEnvTest, ZeroRunsRepsAreRejected) {
-  ::setenv("OMNIVAR_RUNS", "0", 1);
-  const auto spec = paper_spec(1);
-  EXPECT_EQ(spec.runs, 10u);  // an empty protocol is never useful
-}
-
-TEST_F(HarnessEnvTest, ExplicitOverridesBeatQuick) {
-  ::setenv("OMNIVAR_QUICK", "1", 1);
-  ::setenv("OMNIVAR_RUNS", "8", 1);
-  const auto spec = paper_spec(1);
-  EXPECT_EQ(spec.runs, 8u);   // explicit override applies after the clamp
-  EXPECT_EQ(spec.reps, 10u);  // quick clamp still applies to reps
-}
-
 TEST_F(HarnessEnvTest, JobsDefaultsToSerial) {
-  EXPECT_EQ(cli::effective_jobs(0), 1u);
-}
-
-TEST_F(HarnessEnvTest, JobsReadsEnvironment) {
-  ::setenv("OMNIVAR_JOBS", "3", 1);
-  EXPECT_EQ(cli::effective_jobs(0), 3u);
+  EXPECT_EQ(jobs_for({}), 1u);
 }
 
 TEST_F(HarnessEnvTest, JobsZeroMeansHardwareConcurrency) {
-  ::setenv("OMNIVAR_JOBS", "0", 1);
-  EXPECT_GE(cli::effective_jobs(0), 1u);
-  EXPECT_EQ(cli::effective_jobs(0), resolve_jobs(0));
+  EXPECT_GE(jobs_for({"--jobs", "0"}), 1u);
+  EXPECT_EQ(jobs_for({"--jobs=0"}), resolve_jobs(0));
 }
 
 TEST_F(HarnessEnvTest, ParseArgsEqualsForm) {
@@ -131,11 +88,6 @@ TEST_F(HarnessEnvTest, ParseArgsEqualsForm) {
 
 TEST_F(HarnessEnvTest, ParseArgsSeparateForm) {
   EXPECT_EQ(jobs_for({"--jobs", "7"}), 7u);
-}
-
-TEST_F(HarnessEnvTest, ParseArgsOverridesEnvironment) {
-  ::setenv("OMNIVAR_JOBS", "2", 1);
-  EXPECT_EQ(jobs_for({"--jobs=9"}), 9u);
 }
 
 TEST_F(HarnessEnvTest, ParseJobCountStrict) {
@@ -157,26 +109,19 @@ TEST_F(HarnessEnvTest, ParseJobCountStrict) {
 TEST_F(HarnessEnvTest, MalformedJobsFlagIsRejectedNotExpanded) {
   const auto o = parse({"--jobs=1O"});
   EXPECT_EQ(o.errors.size(), 1u);  // the driver exits 2 on it
-  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);  // never all cores
-}
-
-TEST_F(HarnessEnvTest, MalformedJobsEnvFallsBackToSerial) {
-  ::setenv("OMNIVAR_JOBS", "abc", 1);
-  EXPECT_EQ(cli::effective_jobs(0), 1u);
+  EXPECT_EQ(o.jobs, 1u);  // never all cores
 }
 
 TEST_F(HarnessEnvTest, NegativeJobsIsRejectedNotWrapped) {
   const auto o = parse({"--jobs=-4"});
   EXPECT_EQ(o.errors.size(), 1u);
-  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);  // not ULONG_MAX-3 workers
-  ::setenv("OMNIVAR_JOBS", "-4", 1);
-  EXPECT_EQ(cli::effective_jobs(0), 1u);
+  EXPECT_EQ(o.jobs, 1u);  // not ULONG_MAX-3 workers
 }
 
 TEST_F(HarnessEnvTest, TrailingJobsFlagWithoutValueIsRejected) {
   const auto o = parse({"--jobs"});
   EXPECT_EQ(o.errors.size(), 1u);
-  EXPECT_EQ(cli::effective_jobs(o.jobs), 1u);
+  EXPECT_EQ(o.jobs, 1u);
 }
 
 TEST_F(HarnessEnvTest, ParseArgsRejectsUnknownArguments) {
@@ -186,7 +131,6 @@ TEST_F(HarnessEnvTest, ParseArgsRejectsUnknownArguments) {
 }
 
 TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
-  ::setenv("OMNIVAR_JOBS", "4", 1);
   ExperimentSpec spec;
   spec.runs = 5;
   spec.reps = 3;
@@ -197,7 +141,7 @@ TEST_F(HarnessEnvTest, RunShardedHonorsJobsKnob) {
              static_cast<double>(c.rep);
     };
   };
-  const std::size_t jobs = cli::effective_jobs(0);
+  const std::size_t jobs = jobs_for({"--jobs", "4"});
   ASSERT_EQ(jobs, 4u);
   const auto sharded = run_experiment_parallel(spec, factory, jobs);
   const auto serial = run_experiment(spec, [](const RepContext& c) {

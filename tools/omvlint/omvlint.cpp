@@ -276,15 +276,8 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool is_harness_allowlisted(std::string_view p) {
-  // The one file the contract names as a legitimate direct-stdout site:
-  // the harness scaffolding's ad-hoc helpers.
-  return p == "bench/harness.hpp";
-}
-
 bool in_stdout_scope(std::string_view p) {
-  return (starts_with(p, "bench/") || starts_with(p, "src/bench_suite/")) &&
-         !is_harness_allowlisted(p);
+  return starts_with(p, "bench/") || starts_with(p, "src/bench_suite/");
 }
 
 bool in_atomic_scope(std::string_view p) {
