@@ -1,8 +1,9 @@
 #include "omp_model/worksharing.hpp"
 
 #include <algorithm>
-#include <queue>
+#include <functional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace omv::ompsim {
@@ -51,47 +52,54 @@ std::size_t static_iters_for_thread(std::size_t i, std::size_t n_threads,
 
 namespace {
 
+using Entry = std::pair<double, std::size_t>;  // (clock, thread)
+
+/// Replaces the root of the min-heap `heap` with `e` and sifts it down.
+/// Thread ids are unique, so (clock, thread) is a strict total order and
+/// every correct min-heap yields the same root sequence.
+void replace_top(std::vector<Entry>& heap, const Entry& e) {
+  const std::size_t n = heap.size();
+  std::size_t hole = 0;
+  for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+    if (child + 1 < n && heap[child + 1] < heap[child]) ++child;
+    if (!(heap[child] < e)) break;
+    heap[hole] = heap[child];
+    hole = child;
+  }
+  heap[hole] = e;
+}
+
 /// Greedy central-queue engine shared by dynamic and guided: repeatedly hand
-/// the next chunk to the earliest-clock thread.
+/// the next chunk to the earliest-clock thread. One grab costs O(log T).
+/// Dynamic chunks are `min_chunk` (>= 1) iterations; guided recomputes the
+/// chunk from what remains at every grab.
 void central_queue_loop(SimTeam& team, std::size_t total_iters,
                         double work_per_iter, double grab_cost,
-                        std::size_t first_chunk, std::size_t min_chunk,
-                        bool guided, std::size_t coarsen) {
+                        std::size_t min_chunk, bool guided,
+                        std::size_t coarsen) {
   const std::size_t n = team.size();
-  using Entry = std::pair<double, std::size_t>;  // (clock, thread)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  std::vector<double> clock(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    clock[i] = team.clock(i);
-    pq.emplace(clock[i], i);
-  }
+  std::vector<Entry> heap(n);
+  for (std::size_t i = 0; i < n; ++i) heap[i] = {team.clock(i), i};
+  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
 
   std::size_t remaining = total_iters;
-  std::size_t chunk = std::max<std::size_t>(first_chunk, 1);
+  std::size_t chunk = min_chunk;
   while (remaining > 0) {
-    auto [t, i] = pq.top();
-    pq.pop();
-    std::size_t grabbed_chunks = 0;
-    std::size_t iters = 0;
-    // Batch `coarsen` consecutive grabs by the same thread into one segment.
-    while (grabbed_chunks < coarsen && remaining > 0) {
-      if (guided) {
-        chunk = std::max<std::size_t>(min_chunk,
-                                      remaining / (2 * n));
-        chunk = std::max<std::size_t>(chunk, 1);
-      }
-      const std::size_t take = std::min(chunk, remaining);
-      iters += take;
-      remaining -= take;
-      ++grabbed_chunks;
-    }
+    const auto [t, i] = heap.front();
+    if (guided) chunk = std::max(min_chunk, remaining / (2 * n));
+    // Batch `coarsen` consecutive chunks by the same thread into one
+    // segment; only the last chunk of the loop may be short.
+    const std::size_t left = remaining / chunk + (remaining % chunk != 0);
+    const std::size_t grabbed = std::min(coarsen, left);
+    const std::size_t iters = grabbed < left ? grabbed * chunk : remaining;
+    remaining -= iters;
     const double work = static_cast<double>(iters) * work_per_iter +
-                        static_cast<double>(grabbed_chunks) * grab_cost;
-    const double done = team.exec_at(i, t, work);
-    clock[i] = done;
-    pq.emplace(done, i);
+                        static_cast<double>(grabbed) * grab_cost;
+    replace_top(heap, {team.exec_at(i, t, work), i});
   }
   // Propagate final clocks back into the team, then the implicit barrier.
+  std::vector<double> clock(n);
+  for (const auto& [c, i] : heap) clock[i] = c;
   team.set_clocks(clock);
   team.barrier();
 }
@@ -124,7 +132,6 @@ void for_loop(SimTeam& team, Schedule kind, std::size_t chunk,
                               static_cast<double>(n);
       central_queue_loop(team, total_iters, work_per_iter, grab,
                          std::max<std::size_t>(chunk, 1),
-                         std::max<std::size_t>(chunk, 1),
                          /*guided=*/false, coarsen);
       break;
     }
@@ -136,8 +143,6 @@ void for_loop(SimTeam& team, Schedule kind, std::size_t chunk,
       // batching would hand several exponentially-large leading chunks to
       // one thread and destroy the balance the schedule exists for.
       central_queue_loop(team, total_iters, work_per_iter, grab,
-                         /*first_chunk=*/std::max<std::size_t>(
-                             total_iters / (2 * n), 1),
                          /*min_chunk=*/std::max<std::size_t>(chunk, 1),
                          /*guided=*/true, /*coarsen=*/1);
       break;

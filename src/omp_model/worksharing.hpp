@@ -16,7 +16,8 @@
 // A `coarsen` knob lets schedbench-at-scale batch c consecutive chunks into
 // one simulated grab whose cost is c times the per-grab cost; the schedule
 // shape (self-balancing, end-of-loop straggler) is preserved while the event
-// count drops by c.
+// count drops by c. One simulated grab costs O(log T) for a team of T
+// threads, whatever c is.
 
 #include <cstddef>
 #include <string>
@@ -36,9 +37,10 @@ enum class Schedule { static_, dynamic, guided };
 /// `total_iters` iterations of `work_per_iter` nominal seconds each,
 /// including the trailing implicit barrier.
 ///
-/// `coarsen` >= 1 batches that many chunks per simulated grab (dynamic /
-/// guided only; static needs no coarsening since it is simulated in one
-/// segment per thread regardless of iteration count).
+/// `coarsen` >= 1 batches that many chunks per simulated grab (dynamic
+/// only). Guided ignores it: batching would hand several exponentially
+/// large leading chunks to one thread. Static needs no coarsening since it
+/// is simulated in one segment per thread regardless of iteration count.
 void for_loop(SimTeam& team, Schedule kind, std::size_t chunk,
               std::size_t total_iters, double work_per_iter,
               std::size_t coarsen = 1);

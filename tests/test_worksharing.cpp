@@ -5,7 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <ostream>
+#include <queue>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "scenario/registry.hpp"
 
 namespace omv::ompsim {
 namespace {
@@ -179,6 +190,29 @@ TEST(ForLoop, ZeroIterationsJustBarriers) {
   EXPECT_NEAR(team.now() - t0, team.barrier_cost(), 1e-9);
 }
 
+TEST(ForLoop, GuidedIgnoresCoarsen) {
+  // 254 close-bound threads on Dardel leave only two cores without an SMT
+  // sibling busy, so nearly every grab also draws an SMT throughput sample
+  // from the simulator's RNG.
+  const auto& spec = scenario::ScenarioRegistry::instance().get("dardel");
+  const auto run = [&](std::size_t coarsen) {
+    sim::Simulator s(spec.machine.build(), spec.sim);
+    TeamConfig cfg;
+    cfg.n_threads = 254;
+    SimTeam team(s, cfg);
+    team.begin_run(7);
+    team.begin_rep();
+    for_loop(team, Schedule::guided, 3, 254 * 1000, 1e-7, coarsen);
+    std::vector<std::uint64_t> bits;
+    for (const double c : team.clocks()) {
+      bits.push_back(std::bit_cast<std::uint64_t>(c));
+    }
+    bits.push_back(s.rng().next_u64());
+    return bits;
+  };
+  EXPECT_EQ(run(5), run(1));
+}
+
 TEST(ForLoop, EndsWithAlignedClocks) {
   auto s = ideal_dardel();
   auto team = make_team(s, 8);
@@ -187,6 +221,162 @@ TEST(ForLoop, EndsWithAlignedClocks) {
     EXPECT_DOUBLE_EQ(team.clock(i), team.clock(0));
   }
 }
+
+// --- Differential oracle -------------------------------------------------
+//
+// The central-queue loop as it was first written: a std::priority_queue pop
+// and push per grab, and a per-chunk loop batching `coarsen` chunks. The
+// production loop (closed-form batching, replace-top heap) must hand
+// SimTeam::exec_at the same arguments in the same order, so every clock and
+// every draw from the simulator's shared RNG is bit-identical.
+
+void oracle_central_queue_loop(SimTeam& team, std::size_t total_iters,
+                               double work_per_iter, double grab_cost,
+                               std::size_t first_chunk, std::size_t min_chunk,
+                               bool guided, std::size_t coarsen) {
+  const std::size_t n = team.size();
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
+  std::vector<double> clock(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    clock[i] = team.clock(i);
+    pq.emplace(clock[i], i);
+  }
+  std::size_t remaining = total_iters;
+  std::size_t chunk = std::max<std::size_t>(first_chunk, 1);
+  while (remaining > 0) {
+    auto [t, i] = pq.top();
+    pq.pop();
+    std::size_t grabbed_chunks = 0;
+    std::size_t iters = 0;
+    while (grabbed_chunks < coarsen && remaining > 0) {
+      if (guided) {
+        chunk = std::max<std::size_t>(min_chunk, remaining / (2 * n));
+        chunk = std::max<std::size_t>(chunk, 1);
+      }
+      const std::size_t take = std::min(chunk, remaining);
+      iters += take;
+      remaining -= take;
+      ++grabbed_chunks;
+    }
+    const double work = static_cast<double>(iters) * work_per_iter +
+                        static_cast<double>(grabbed_chunks) * grab_cost;
+    const double done = team.exec_at(i, t, work);
+    clock[i] = done;
+    pq.emplace(done, i);
+  }
+  team.set_clocks(clock);
+  team.barrier();
+}
+
+void oracle_for_loop(SimTeam& team, Schedule kind, std::size_t chunk,
+                     std::size_t total_iters, double work_per_iter,
+                     std::size_t coarsen) {
+  const auto& costs = team.simulator().costs();
+  const std::size_t n = team.size();
+  const double grab = costs.sched_grab_base +
+                      costs.sched_grab_contention * static_cast<double>(n);
+  chunk = std::max<std::size_t>(chunk, 1);
+  if (kind == Schedule::dynamic) {
+    oracle_central_queue_loop(team, total_iters, work_per_iter, grab, chunk,
+                              chunk, /*guided=*/false,
+                              std::max<std::size_t>(coarsen, 1));
+  } else {
+    oracle_central_queue_loop(team, total_iters, work_per_iter, grab,
+                              std::max<std::size_t>(total_iters / (2 * n), 1),
+                              chunk, /*guided=*/true, /*coarsen=*/1);
+  }
+}
+
+struct OracleTeam {
+  std::string label;
+  std::string scenario;
+  TeamConfig cfg;
+};
+
+void PrintTo(const OracleTeam& team, std::ostream* os) { *os << team.label; }
+
+OracleTeam pinned_team(const std::string& scenario, std::size_t threads) {
+  TeamConfig cfg;
+  cfg.n_threads = threads;
+  cfg.places_spec = "threads";
+  cfg.bind = topo::ProcBind::close;
+  return {scenario + "_" + std::to_string(threads), scenario, cfg};
+}
+
+std::vector<OracleTeam> oracle_teams() {
+  std::vector<OracleTeam> teams;
+  for (const std::size_t t : {1, 4, 30, 254}) {
+    teams.push_back(pinned_team("dardel", t));  // 254 is SMT co-scheduled
+  }
+  for (const std::size_t t : {1, 4, 30}) {
+    teams.push_back(pinned_team("vera", t));  // Vera has 32 HW threads
+  }
+  OracleTeam unpinned = pinned_team("dardel", 16);
+  unpinned.label = "dardel_unpinned_16";
+  unpinned.cfg.bind = topo::ProcBind::none;
+  teams.push_back(unpinned);
+  OracleTeam oversub = pinned_team("dardel", 4);
+  oversub.label = "dardel_oversubscribed_4";
+  oversub.cfg.places_spec = "{0},{0},{1},{2}";
+  teams.push_back(oversub);
+  // Mixed P/E core classes: the per-class work-rate path of exec_at runs.
+  const auto& biglittle =
+      scenario::ScenarioRegistry::instance().get("biglittle");
+  teams.push_back(pinned_team("biglittle", biglittle.machine.n_threads()));
+  return teams;
+}
+
+/// Final clocks of one loop as raw bits, followed by the next draw of the
+/// simulator's shared RNG (which pins how many draws the loop made).
+std::vector<std::uint64_t> run_bits(const OracleTeam& ot, bool oracle,
+                                    Schedule kind, std::size_t chunk,
+                                    std::size_t total, std::size_t coarsen) {
+  const auto& spec = scenario::ScenarioRegistry::instance().get(ot.scenario);
+  sim::Simulator s(spec.machine.build(), spec.sim);
+  SimTeam team(s, ot.cfg, 11);
+  team.begin_run(5);
+  team.begin_rep();
+  if (oracle) {
+    oracle_for_loop(team, kind, chunk, total, 1e-7, coarsen);
+  } else {
+    for_loop(team, kind, chunk, total, 1e-7, coarsen);
+  }
+  std::vector<std::uint64_t> bits;
+  for (const double c : team.clocks()) {
+    bits.push_back(std::bit_cast<std::uint64_t>(c));
+  }
+  bits.push_back(s.rng().next_u64());
+  return bits;
+}
+
+class CentralQueueOracle : public ::testing::TestWithParam<OracleTeam> {};
+
+TEST_P(CentralQueueOracle, ForLoopIsBitIdenticalToTheOracle) {
+  const OracleTeam& ot = GetParam();
+  const std::size_t t = ot.cfg.n_threads;
+  for (const Schedule kind : {Schedule::dynamic, Schedule::guided}) {
+    for (const std::size_t chunk : {1, 2, 3, 7, 64}) {
+      for (const std::size_t total : {std::size_t{0}, std::size_t{1},
+                                       std::size_t{10007}, t * 8192}) {
+        for (const std::size_t coarsen : {1, 2, 3, 24, 208}) {
+          ASSERT_EQ(run_bits(ot, false, kind, chunk, total, coarsen),
+                    run_bits(ot, true, kind, chunk, total, coarsen))
+              << ot.label << " " << schedule_name(kind) << " chunk=" << chunk
+              << " total=" << total << " coarsen=" << coarsen;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Teams, CentralQueueOracle, ::testing::ValuesIn(oracle_teams()),
+    [](const ::testing::TestParamInfo<OracleTeam>& info) {
+      std::string name = info.param.label;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 }  // namespace
 }  // namespace omv::ompsim
